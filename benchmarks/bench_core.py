@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the compiled core against the NumPy fallback.
 
-Times the four hot kernels and an end-to-end dependent test at several
+Times the hot kernels and an end-to-end dependent test at several
 sample sizes.  Both implementations are imported directly, so the
 RELDEP_BACKEND selection does not matter here.
 
@@ -44,7 +44,6 @@ def bench_backend(impl, m, reps, rng):
         "order_stats_median": best_of(
             lambda: impl.sq_distance_order_stats(d2, mid - 1, mid), reps
         ),
-        "hsic_reductions": best_of(lambda: impl.hsic_reductions(k, l), reps),
         "hsic_h_reductions": best_of(lambda: impl.hsic_h_reductions(k, l), reps),
     }
 

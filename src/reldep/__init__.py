@@ -6,110 +6,44 @@ estimates; the main test models the covariance between the two estimates
 (they share the source sample), which gives a consistent test with much
 lower variance than splitting the data, and generalizes to weighted
 combinations of any number of HSIC statistics.
+
+The names below are the public surface; everything else is importable
+from its submodule (``reldep.kernels``, ``reldep.hsic``, ...).
 """
 
-from reldep._backend import HAVE_COMPILED, backend_name
-from reldep.dataset import (
-    DatasetError,
-    JointSample,
-    PreconditionError,
-    Sample,
-    align,
-    load_csv,
-    save_csv,
-    split_half,
-)
-from reldep.hsic import (
-    CovarianceSummary,
-    HsicEstimate,
-    covariance_summary,
-    cross_covariance,
-    h_vector,
-    h_vector_bruteforce,
-    hsic_bruteforce,
-    hsic_estimate,
-    hsic_unbiased,
-    variance_hsic,
-)
-from reldep.kernels import (
-    Bandwidth,
-    GramMatrix,
-    KernelConfig,
-    KernelSpec,
-    build_gram,
-    gram_gaussian,
-    gram_linear,
-    median_heuristic,
-    pairwise_sq_distances,
-    zero_diagonal,
-)
-from reldep.reltest import (
-    JointGaussianSummary,
-    RotationMatrix,
-    TestResult,
-    dependent_test,
-    generalized_test,
-    independent_test,
-    joint_summary,
-    normal_cdf,
-    rotation_matrix,
-)
+from reldep._backend import backend_name
+from reldep.dataset import DatasetError, PreconditionError, Sample, align, load_csv
+from reldep.hsic import hsic_estimate, variance_hsic
+from reldep.kernels import KernelConfig, KernelSpec
+from reldep.reltest import dependent_test, generalized_test, independent_test, joint_summary
 from reldep.synthbench import (
     SynthConfig,
     calibration,
     convergence_diagnostic,
     power_curve,
-    sample_synthetic,
     scatter_experiment,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_COMPILED",
-    "backend_name",
     "DatasetError",
     "PreconditionError",
     "Sample",
-    "JointSample",
     "align",
     "load_csv",
-    "save_csv",
-    "split_half",
-    "Bandwidth",
-    "GramMatrix",
-    "KernelConfig",
     "KernelSpec",
-    "build_gram",
-    "gram_gaussian",
-    "gram_linear",
-    "median_heuristic",
-    "pairwise_sq_distances",
-    "zero_diagonal",
-    "HsicEstimate",
-    "CovarianceSummary",
-    "covariance_summary",
-    "cross_covariance",
-    "h_vector",
-    "h_vector_bruteforce",
-    "hsic_bruteforce",
+    "KernelConfig",
     "hsic_estimate",
-    "hsic_unbiased",
     "variance_hsic",
-    "TestResult",
-    "JointGaussianSummary",
-    "RotationMatrix",
     "dependent_test",
     "independent_test",
-    "generalized_test",
     "joint_summary",
-    "normal_cdf",
-    "rotation_matrix",
+    "generalized_test",
     "SynthConfig",
-    "sample_synthetic",
     "power_curve",
     "calibration",
     "scatter_experiment",
     "convergence_diagnostic",
-    "__version__",
+    "backend_name",
 ]

@@ -38,7 +38,6 @@ BACKEND = _impl.BACKEND_NAME
 
 pairwise_sq_dists = _impl.pairwise_sq_dists
 sq_distance_order_stats = _impl.sq_distance_order_stats
-hsic_reductions = _impl.hsic_reductions
 hsic_h_reductions = _impl.hsic_h_reductions
 
 

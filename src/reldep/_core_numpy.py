@@ -1,7 +1,7 @@
 """NumPy implementations of the O(m^2) hot kernels.
 
 These are the fallback for :mod:`reldep._core` (the Cython build of the
-same four functions).  Both backends must return numerically equivalent
+same functions).  Both backends must return numerically equivalent
 results; tests/test_backends.py asserts this whenever the compiled module
 is importable.
 """
@@ -39,26 +39,15 @@ def sq_distance_order_stats(d2: np.ndarray, k1: int, k2: int):
     return float(part[m + 2 * k1]), float(part[m + 2 * k2])
 
 
-def hsic_reductions(k: np.ndarray, l: np.ndarray):
+def hsic_h_reductions(k: np.ndarray, l: np.ndarray):
     """Single-pass reductions over a pair of zero-diagonal Gram matrices.
 
-    Returns ``(kl_row, k_row, l_row)`` where ``kl_row[i] = sum_j K_ij L_ij``
-    and ``k_row``/``l_row`` are the plain row sums.  Everything the unbiased
-    estimator needs is an O(m) reduction of these vectors.
+    Returns ``(kl_row, k_row, l_row, k_lrow, l_krow)`` where
+    ``kl_row[i] = sum_j K_ij L_ij``, ``k_row``/``l_row`` are the plain row
+    sums and ``k_lrow = K @ l_row``, ``l_krow = L @ k_row``.  The unbiased
+    estimator and its h-vector are O(m) reductions of these vectors.
     """
     kl_row = np.einsum("ij,ij->i", k, l)
     k_row = k.sum(axis=1)
     l_row = l.sum(axis=1)
-    return kl_row, k_row, l_row
-
-
-def hsic_h_reductions(k: np.ndarray, l: np.ndarray):
-    """Reductions for the estimator plus its per-observation sum vector.
-
-    Extends :func:`hsic_reductions` with the two matrix-vector products
-    ``K @ l_row`` and ``L @ k_row`` needed by the h-vector.
-    """
-    kl_row, k_row, l_row = hsic_reductions(k, l)
-    k_lrow = k @ l_row
-    l_krow = l @ k_row
-    return kl_row, k_row, l_row, k_lrow, l_krow
+    return kl_row, k_row, l_row, k @ l_row, l @ k_row

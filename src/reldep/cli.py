@@ -33,8 +33,7 @@ from reldep.kernels import (
     LINEAR,
     KernelConfig,
     KernelSpec,
-    build_gram,
-    zero_diagonal,
+    build_zero_diag_gram,
 )
 from reldep.reltest import (
     dependent_test,
@@ -230,9 +229,9 @@ def cmd_hsic(args) -> int:
     if x.m != y.m:
         raise DatasetError(f"sample sizes {x.m},{y.m} differ")
     config = _kernel_config(args)
-    gx = build_gram(x, config.x)
-    gy = build_gram(y, config.y)
-    est = hsic_estimate(zero_diagonal(gx), zero_diagonal(gy), "XY")
+    gx = build_zero_diag_gram(x, config.x)
+    gy = build_zero_diag_gram(y, config.y)
+    est = hsic_estimate(gx, gy, "XY")
     payload = {
         "hsic": est.value,
         "variance": variance_hsic(est),

@@ -1,4 +1,4 @@
-"""Unbiased HSIC estimation, h-vectors, variances and cross-covariances.
+"""Unbiased HSIC estimation, h-vectors, variances and the covariance matrix.
 
 All estimators work on zero-diagonal Gram matrices.  The unbiased value is
 
@@ -11,11 +11,14 @@ the order-4 symmetrized kernel
                  of k_st (l_st + l_uv - 2 l_su).
 
 The per-observation aggregates of h drive the variance machinery:
-``h_vector`` computes, in O(m^2), a vector whose entry i is exactly
-``H_SUM_RATIO`` times the sum of h(i,j,q,r) over all ordered 3-tuples
-(j,q,r) of distinct indices avoiding i.  ``hsic_bruteforce`` and
-``h_vector_bruteforce`` enumerate the tuples directly and exist purely to
-cross-check the fast path; they share no code with it.
+``hsic_estimate`` returns, next to the value and from the same O(m^2)
+reductions, the h-vector, whose entry i is exactly ``H_SUM_RATIO`` times
+the sum of h(i,j,q,r) over all ordered 3-tuples (j,q,r) of distinct
+indices avoiding i.  ``covariance_summary`` turns the h-vectors of n
+estimates on shared sample rows into one clamped n x n covariance matrix.
+``hsic_bruteforce`` and ``h_vector_bruteforce`` enumerate the tuples
+directly and exist purely to cross-check the fast path; they share no
+code with it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import copysign, sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +38,7 @@ __all__ = [
     "H_SUM_RATIO",
     "VARIANCE_FLOOR",
     "HsicEstimate",
-    "CovarianceSummary",
-    "hsic_unbiased",
     "hsic_estimate",
-    "h_vector",
     "hsic_bruteforce",
     "h_vector_bruteforce",
     "variance_hsic",
@@ -54,8 +55,6 @@ H_SUM_RATIO = 2.0
 # Variance estimates are unbiased and can dip below zero at small m; they
 # are floored here so downstream standard deviations stay well defined.
 VARIANCE_FLOOR = 1e-12
-
-UNSCALED = "unscaled_statistic"
 
 
 @dataclass(frozen=True)
@@ -75,35 +74,12 @@ class HsicEstimate:
             raise ValueError("h_vector length must equal the sample size")
 
 
-@dataclass(frozen=True)
-class CovarianceSummary:
-    """Variances and cross-covariance of two HSIC statistics on shared data.
-
-    Values describe the unscaled statistics (they already carry the 1/m
-    decay).  The cross term is clamped so the implied 2x2 matrix is
-    positive semidefinite.
-    """
-
-    var_xy: float
-    var_xz: float
-    cov_xyxz: float
-    scale_note: str = UNSCALED
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.var_xy, self.cov_xyxz], [self.cov_xyxz, self.var_xz]]
-        )
-
-
 def _falling3(n: int) -> float:
     """n (n-1) (n-2): the number of ordered 3-tuples from n items."""
     return float(n * (n - 1) * (n - 2))
 
 
 def _check_pair(kt: GramMatrix, lt: GramMatrix) -> int:
-    for g in (kt, lt):
-        if not g.zero_diagonal:
-            raise ValueError("estimator requires zero-diagonal Gram matrices")
     if kt.m != lt.m:
         raise ValueError(f"Gram sizes differ: {kt.m} vs {lt.m}")
     if kt.m < 4:
@@ -111,7 +87,16 @@ def _check_pair(kt: GramMatrix, lt: GramMatrix) -> int:
     return kt.m
 
 
-def _value_from_rows(m, kl_row, k_row, l_row):
+def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicEstimate:
+    """Unbiased HSIC value together with its h-vector, in one O(m^2) pass.
+
+    Unbiasedness means the value can be negative even though the population
+    quantity is nonnegative.
+    """
+    m = _check_pair(kt, lt)
+    kl_row, k_row, l_row, k_lrow, l_krow = _backend.hsic_h_reductions(
+        kt.values, lt.values
+    )
     trace_kl = float(kl_row.sum())
     sum_k = float(k_row.sum())
     sum_l = float(l_row.sum())
@@ -121,27 +106,6 @@ def _value_from_rows(m, kl_row, k_row, l_row):
         + sum_k * sum_l / ((m - 1.0) * (m - 2.0))
         - 2.0 * row_dot / (m - 2.0)
     ) / (m * (m - 3.0))
-    return value, trace_kl, sum_k, sum_l, row_dot
-
-
-def hsic_unbiased(kt: GramMatrix, lt: GramMatrix) -> float:
-    """Unbiased HSIC estimate from two zero-diagonal Gram matrices.
-
-    Unbiasedness means the value can be negative even though the population
-    quantity is nonnegative.
-    """
-    m = _check_pair(kt, lt)
-    kl_row, k_row, l_row = _backend.hsic_reductions(kt.values, lt.values)
-    return _value_from_rows(m, kl_row, k_row, l_row)[0]
-
-
-def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicEstimate:
-    """Unbiased HSIC value together with its h-vector, in one O(m^2) pass."""
-    m = _check_pair(kt, lt)
-    kl_row, k_row, l_row, k_lrow, l_krow = _backend.hsic_h_reductions(
-        kt.values, lt.values
-    )
-    value, trace_kl, sum_k, sum_l, row_dot = _value_from_rows(m, kl_row, k_row, l_row)
     h = (
         (m - 2.0) ** 2 * kl_row
         - m * k_row * l_row
@@ -151,16 +115,6 @@ def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicE
         - row_dot
     )
     return HsicEstimate(value=value, h_vector=h, m=m, pair_label=pair_label)
-
-
-def h_vector(kt: GramMatrix, lt: GramMatrix) -> np.ndarray:
-    """Per-observation aggregate vector of the order-4 kernel.
-
-    Entry i equals ``H_SUM_RATIO`` times the sum of h(i,j,q,r) over all
-    ordered 3-tuples (j,q,r) of distinct indices avoiding i, computed in
-    O(m^2) instead of O(m^4).
-    """
-    return hsic_estimate(kt, lt).h_vector
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +212,21 @@ def cross_covariance(e_xy: HsicEstimate, e_xz: HsicEstimate) -> float:
     return (16.0 / e_xy.m) * (r - e_xy.value * e_xz.value)
 
 
-def covariance_summary(e_xy: HsicEstimate, e_xz: HsicEstimate) -> CovarianceSummary:
-    """Clamped 2x2 covariance summary of two correlated HSIC statistics.
+def covariance_summary(estimates: Sequence[HsicEstimate]) -> np.ndarray:
+    """Clamped n x n covariance matrix of n HSIC statistics on shared rows.
 
-    The cross term is shrunk to sqrt(var_xy var_xz) when the raw estimate
-    exceeds it, which makes the matrix positive semidefinite by
-    construction.
+    The diagonal holds ``variance_hsic`` and the off-diagonal entries
+    ``cross_covariance``, each shrunk to sqrt(var_a var_b) when the raw
+    estimate exceeds it in magnitude.  Values describe the unscaled
+    statistics (they already carry the 1/m decay).
     """
-    var_xy = variance_hsic(e_xy)
-    var_xz = variance_hsic(e_xz)
-    cov = cross_covariance(e_xy, e_xz)
-    bound = sqrt(var_xy * var_xz)
-    if abs(cov) > bound:
-        cov = copysign(bound, cov)
-    return CovarianceSummary(var_xy=var_xy, var_xz=var_xz, cov_xyxz=cov)
+    variances = [variance_hsic(e) for e in estimates]
+    cov = np.diag(variances)
+    for a in range(len(estimates)):
+        for b in range(a + 1, len(estimates)):
+            c = cross_covariance(estimates[a], estimates[b])
+            bound = sqrt(variances[a] * variances[b])
+            if abs(c) > bound:
+                c = copysign(bound, c)
+            cov[a, b] = cov[b, a] = c
+    return cov

@@ -1,4 +1,4 @@
-"""Gram matrices, bandwidth selection and the zero-diagonal transform.
+"""Zero-diagonal Gram matrices and bandwidth selection.
 
 Two kernel families are supported: the Gaussian kernel
 ``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` with sigma chosen by the
@@ -10,7 +10,7 @@ and can be shared freely across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,6 @@ __all__ = [
     "GramMatrix",
     "pairwise_sq_distances",
     "median_heuristic",
-    "gram_gaussian",
-    "gram_linear",
-    "zero_diagonal",
-    "build_gram",
     "build_zero_diag_gram",
 ]
 
@@ -77,15 +73,20 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric matrix of kernel evaluations over one sample."""
+    """Symmetric matrix of kernel evaluations over one sample, diagonal masked.
+
+    The unbiased estimators assume K_ii = 0, so any other matrix is
+    rejected here rather than silently biasing an estimate.
+    """
 
     values: np.ndarray
-    zero_diagonal: bool
     family: str
     bandwidth: float | None
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or np.any(np.diagonal(v) != 0.0):
+            raise ValueError("Gram matrix values must be square and zero-diagonal")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -102,130 +103,53 @@ def pairwise_sq_distances(s: Sample) -> np.ndarray:
     return _backend.pairwise_sq_dists(s.data)
 
 
-def _median_distance_from_sq(d2: np.ndarray) -> float:
+def _median_sigma(d2: np.ndarray) -> float:
     """Median pairwise distance given the full squared-distance matrix.
 
     Selects order statistics on the squared distances (sqrt is monotone,
     so that is exact) and roots at the end; an even pool averages the two
-    central distances, not the squared ones.
+    central distances, not the squared ones.  Zero distances from duplicate
+    rows stay in the pool, but a zero median means the scale is degenerate
+    and is an error.
     """
-    n_pairs = d2.shape[0] * (d2.shape[0] - 1) // 2
+    m = d2.shape[0]
+    if m < 2:
+        raise PreconditionError("median heuristic needs at least 2 observations")
+    n_pairs = m * (m - 1) // 2
     if n_pairs % 2 == 1:
         mid = (n_pairs - 1) // 2
         lo, hi = _backend.sq_distance_order_stats(d2, mid, mid)
-        return float(np.sqrt(lo))
-    lo, hi = _backend.sq_distance_order_stats(d2, n_pairs // 2 - 1, n_pairs // 2)
-    return float(0.5 * (np.sqrt(lo) + np.sqrt(hi)))
+        sigma = float(np.sqrt(lo))
+    else:
+        lo, hi = _backend.sq_distance_order_stats(d2, n_pairs // 2 - 1, n_pairs // 2)
+        sigma = float(0.5 * (np.sqrt(lo) + np.sqrt(hi)))
+    if sigma <= 0.0:
+        raise PreconditionError("degenerate sample: zero median distance")
+    return sigma
 
 
 def median_heuristic(s: Sample) -> Bandwidth:
     """Median of the m(m-1)/2 pairwise Euclidean distances.
 
-    An even pool takes the mean of the two central order statistics.  Zero
-    distances from duplicate rows stay in the pool, but a zero median means
-    the scale is degenerate and is an error.
+    An even pool takes the mean of the two central order statistics.
     """
-    if s.m < 2:
-        raise PreconditionError("median heuristic needs at least 2 observations")
-    sigma = _median_distance_from_sq(_backend.pairwise_sq_dists(s.data))
-    if sigma <= 0.0:
-        raise PreconditionError("degenerate sample: zero median distance")
-    return Bandwidth(sigma)
-
-
-def _gaussian_map(d2: np.ndarray, sigma: float, *, inplace: bool) -> np.ndarray:
-    """exp(-d2 / (2 sigma^2)) elementwise; NumPy's exp in both backends."""
-    scale = -0.5 / (sigma * sigma)
-    if inplace:
-        d2 *= scale
-        return np.exp(d2, out=d2)
-    return np.exp(d2 * scale)
-
-
-def gram_gaussian(s: Sample, b: Bandwidth) -> GramMatrix:
-    """Gaussian Gram matrix exp(-||xi - xj||^2 / (2 sigma^2))."""
-    d2 = _backend.pairwise_sq_dists(s.data)
-    return GramMatrix(
-        values=_gaussian_map(d2, b.sigma, inplace=False),
-        zero_diagonal=False,
-        family=GAUSSIAN,
-        bandwidth=b.sigma,
-    )
-
-
-def gram_linear(s: Sample) -> GramMatrix:
-    """Linear Gram matrix of raw inner products (no centering, no scaling)."""
-    return GramMatrix(
-        values=s.data @ s.data.T,
-        zero_diagonal=False,
-        family=LINEAR,
-        bandwidth=None,
-    )
-
-
-def zero_diagonal(g: GramMatrix) -> GramMatrix:
-    """Copy of g with the diagonal masked to zero.
-
-    Applying it twice is almost certainly a pipeline bug (the estimator
-    formulas assume the original off-diagonal values), so that is an error
-    rather than a no-op.
-    """
-    if g.zero_diagonal:
-        raise ValueError("Gram matrix is already zero-diagonal")
-    values = g.values.copy()
-    np.fill_diagonal(values, 0.0)
-    return replace(g, values=values, zero_diagonal=True)
-
-
-def build_gram(s: Sample, spec: KernelSpec) -> GramMatrix:
-    """Gram matrix for one variable, resolving the bandwidth if needed.
-
-    Shares one distance computation between the median heuristic and the
-    kernel map, which matters inside Monte-Carlo loops.
-    """
-    if spec.family == LINEAR:
-        return gram_linear(s)
-    d2 = _backend.pairwise_sq_dists(s.data)
-    if spec.bandwidth is not None:
-        sigma = spec.bandwidth
-    else:
-        if s.m < 2:
-            raise PreconditionError("median heuristic needs at least 2 observations")
-        sigma = _median_distance_from_sq(d2)
-        if sigma <= 0.0:
-            raise PreconditionError("degenerate sample: zero median distance")
-    return GramMatrix(
-        values=_gaussian_map(d2, sigma, inplace=True),
-        zero_diagonal=False,
-        family=GAUSSIAN,
-        bandwidth=sigma,
-    )
+    return Bandwidth(_median_sigma(_backend.pairwise_sq_dists(s.data)))
 
 
 def build_zero_diag_gram(s: Sample, spec: KernelSpec) -> GramMatrix:
-    """Zero-diagonal Gram matrix built without the intermediate copy.
+    """Zero-diagonal Gram matrix for one variable, the estimators' input.
 
-    Produces exactly zero_diagonal(build_gram(s, spec)); the Gaussian map
-    is applied in place on the distance matrix, which matters inside
-    Monte-Carlo loops.
+    A Gaussian spec without a bandwidth resolves it by the median heuristic
+    on the same distance matrix the kernel map is then applied to, in
+    place, which matters inside Monte-Carlo loops.
     """
     if spec.family == LINEAR:
         values = s.data @ s.data.T
-        np.fill_diagonal(values, 0.0)
-        return GramMatrix(
-            values=values, zero_diagonal=True, family=LINEAR, bandwidth=None
-        )
-    d2 = _backend.pairwise_sq_dists(s.data)
-    if spec.bandwidth is not None:
-        sigma = spec.bandwidth
+        sigma = None
     else:
-        if s.m < 2:
-            raise PreconditionError("median heuristic needs at least 2 observations")
-        sigma = _median_distance_from_sq(d2)
-        if sigma <= 0.0:
-            raise PreconditionError("degenerate sample: zero median distance")
-    values = _gaussian_map(d2, sigma, inplace=True)
+        values = _backend.pairwise_sq_dists(s.data)
+        sigma = _median_sigma(values) if spec.bandwidth is None else spec.bandwidth
+        values *= -0.5 / (sigma * sigma)
+        np.exp(values, out=values)
     np.fill_diagonal(values, 0.0)
-    return GramMatrix(
-        values=values, zero_diagonal=True, family=GAUSSIAN, bandwidth=sigma
-    )
+    return GramMatrix(values=values, family=spec.family, bandwidth=sigma)

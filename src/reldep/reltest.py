@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from reldep.dataset import JointSample, PreconditionError, Sample, split_half
 from reldep.hsic import (
     VARIANCE_FLOOR,
-    CovarianceSummary,
-    H_SUM_RATIO,
     HsicEstimate,
     covariance_summary,
     hsic_estimate,
@@ -48,12 +46,8 @@ __all__ = [
     "RotationMatrix",
     "normal_cdf",
     "rotation_matrix",
-    "dependent_statistics",
     "dependent_test",
-    "result_from_dependent",
-    "independent_statistics",
     "independent_test",
-    "result_from_independent",
     "joint_summary",
     "generalized_test",
 ]
@@ -210,60 +204,26 @@ def rotation_matrix(v: Sequence[float]) -> RotationMatrix:
     return RotationMatrix(q)
 
 
-def _resolve_specs(config: KernelConfig | None) -> KernelConfig:
-    return config if config is not None else KernelConfig()
-
-
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-@dataclass(frozen=True)
-class DependentStats:
-    """Full-sample estimates and their joint covariance."""
+def _verdict(
+    statistic: float,
+    var: float,
+    alpha: float,
+    method: str,
+    m: int,
+    m_effective: int,
+    kernel_info: dict | None = None,
+) -> TestResult:
+    """One-sided verdict on a statistic with this (unfloored) variance.
 
-    e_xy: HsicEstimate
-    e_xz: HsicEstimate
-    cov: CovarianceSummary
-    kernel_info: dict
-
-
-@dataclass(frozen=True)
-class IndependentStats:
-    """Half-sample estimates; the halves share no rows."""
-
-    e_xy: HsicEstimate
-    e_xz: HsicEstimate
-    var_xy: float
-    var_xz: float
-    kernel_info: dict
-
-
-def dependent_statistics(
-    j: JointSample, kernel_config: KernelConfig | None = None
-) -> DependentStats:
-    """Both HSIC estimates on the full sample plus their covariance summary."""
-    if j.z is None:
-        raise PreconditionError("relative test needs all three variables x, y, z")
-    cfg = _resolve_specs(kernel_config)
-    ktx = build_zero_diag_gram(j.x, cfg.x)
-    kty = build_zero_diag_gram(j.y, cfg.y)
-    ktz = build_zero_diag_gram(j.z, cfg.z)
-    e_xy = hsic_estimate(ktx, kty, "XY")
-    e_xz = hsic_estimate(ktx, ktz, "XZ")
-    info = {"x": ktx.descriptor(), "y": kty.descriptor(), "z": ktz.descriptor()}
-    return DependentStats(e_xy, e_xz, covariance_summary(e_xy, e_xz), info)
-
-
-def result_from_dependent(st: DependentStats, m: int, alpha: float) -> TestResult:
-    """Assemble the dependent-test verdict from precomputed statistics."""
-    _check_alpha(alpha)
-    statistic = st.e_xy.value - st.e_xz.value
-    var = max(
-        st.cov.var_xy + st.cov.var_xz - 2.0 * st.cov.cov_xyxz, VARIANCE_FLOOR
-    )
-    std = math.sqrt(var)
+    ``m_effective`` is the size each estimate saw, which decides the
+    small-sample warning (half of m for the split test).
+    """
+    std = math.sqrt(max(var, VARIANCE_FLOOR))
     p = _upper_p(statistic / std)
     return TestResult(
         statistic=statistic,
@@ -271,11 +231,59 @@ def result_from_dependent(st: DependentStats, m: int, alpha: float) -> TestResul
         p_value=p,
         alpha=alpha,
         reject_null=p < alpha,
-        method=DEPENDENT,
+        method=method,
         m=m,
-        small_m_warning=m < SMALL_M_THRESHOLD,
-        kernel_info=st.kernel_info,
+        small_m_warning=m_effective < SMALL_M_THRESHOLD,
+        kernel_info=kernel_info,
     )
+
+
+def _pair_estimates(
+    samples: Sequence[Sample],
+    pairs: Sequence[tuple[int, int]],
+    spec_for: Callable[[int], KernelSpec],
+) -> tuple[list[HsicEstimate], dict[int, GramMatrix]]:
+    """HSIC estimate per (source, target) pair, one Gram build per variable.
+
+    Returns the estimates in pair order and the Gram matrices by index.
+    """
+    grams: dict[int, GramMatrix] = {}
+
+    def gram(i: int) -> GramMatrix:
+        if i not in grams:
+            if not 0 <= i < len(samples):
+                raise ValueError(f"pair index {i} out of range")
+            grams[i] = build_zero_diag_gram(samples[i], spec_for(i))
+        return grams[i]
+
+    estimates = [hsic_estimate(gram(a), gram(b), f"{a}-{b}") for a, b in pairs]
+    return estimates, grams
+
+
+def _dependent(
+    j: JointSample, kernel_config: KernelConfig | None, alpha: float
+) -> tuple[TestResult, list[HsicEstimate]]:
+    """``dependent_test`` plus the (XY, XZ) estimates it was read from."""
+    _check_alpha(alpha)
+    if j.z is None:
+        raise PreconditionError("relative test needs all three variables x, y, z")
+    cfg = kernel_config or KernelConfig()
+    estimates, grams = _pair_estimates([j.x, j.y, j.z], ((0, 1), (0, 2)), cfg.spec_for)
+    e_xy, e_xz = estimates
+    cov = covariance_summary(estimates)
+    info = {name: grams[i].descriptor() for i, name in enumerate("xyz")}
+    # var_xy + var_xz - 2 cov in this order; v'Cv or the rotation of
+    # generalized_test give the same value with different last bits.
+    result = _verdict(
+        e_xy.value - e_xz.value,
+        cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1],
+        alpha,
+        DEPENDENT,
+        j.m,
+        j.m,
+        info,
+    )
+    return result, estimates
 
 
 def dependent_test(
@@ -288,22 +296,23 @@ def dependent_test(
     The statistic is the difference of the two unbiased HSIC estimates; its
     variance accounts for their correlation through the shared source.
     """
-    _check_alpha(alpha)
-    return result_from_dependent(dependent_statistics(j, kernel_config), j.m, alpha)
+    return _dependent(j, kernel_config, alpha)[0]
 
 
-def independent_statistics(
+def _independent(
     j: JointSample,
-    kernel_config: KernelConfig | None = None,
-    *,
-    shuffle_seed: int | None = None,
-) -> IndependentStats:
-    """Half-sample estimates: (x', y') on one half, (x'', z'') on the other.
+    kernel_config: KernelConfig | None,
+    alpha: float,
+    shuffle_seed: int | None,
+) -> tuple[TestResult, list[HsicEstimate]]:
+    """``independent_test`` plus its half-sample estimates.
 
-    Bandwidth heuristics are resolved per half, so the two statistics share
-    nothing at all.
+    (x', y') come from one half, (x'', z'') from the other.  Bandwidth
+    heuristics are resolved per half, so the two statistics share nothing
+    at all.
     """
-    cfg = _resolve_specs(kernel_config)
+    _check_alpha(alpha)
+    cfg = kernel_config or KernelConfig()
     first, second = split_half(j, shuffle_seed=shuffle_seed)
     gx1, gy = build_zero_diag_gram(first.x, cfg.x), build_zero_diag_gram(first.y, cfg.y)
     gx2, gz = build_zero_diag_gram(second.x, cfg.x), build_zero_diag_gram(second.y, cfg.z)
@@ -317,29 +326,16 @@ def independent_statistics(
         "y": gy.descriptor(),
         "z": gz.descriptor(),
     }
-    return IndependentStats(
-        e_xy, e_xz, variance_hsic(e_xy), variance_hsic(e_xz), info
+    result = _verdict(
+        e_xy.value - e_xz.value,
+        variance_hsic(e_xy) + variance_hsic(e_xz),
+        alpha,
+        INDEPENDENT,
+        j.m,
+        j.m // 2,
+        info,
     )
-
-
-def result_from_independent(st: IndependentStats, m: int, alpha: float) -> TestResult:
-    """Assemble the independent-test verdict from precomputed statistics."""
-    _check_alpha(alpha)
-    statistic = st.e_xy.value - st.e_xz.value
-    var = max(st.var_xy + st.var_xz, VARIANCE_FLOOR)
-    std = math.sqrt(var)
-    p = _upper_p(statistic / std)
-    return TestResult(
-        statistic=statistic,
-        std_dev=std,
-        p_value=p,
-        alpha=alpha,
-        reject_null=p < alpha,
-        method=INDEPENDENT,
-        m=m,
-        small_m_warning=m // 2 < SMALL_M_THRESHOLD,
-        kernel_info=st.kernel_info,
-    )
+    return result, [e_xy, e_xz]
 
 
 def independent_test(
@@ -350,10 +346,7 @@ def independent_test(
     shuffle_seed: int | None = None,
 ) -> TestResult:
     """Baseline relative test on two disjoint half samples."""
-    _check_alpha(alpha)
-    return result_from_independent(
-        independent_statistics(j, kernel_config, shuffle_seed=shuffle_seed), j.m, alpha
-    )
+    return _independent(j, kernel_config, alpha, shuffle_seed)[0]
 
 
 def joint_summary(
@@ -367,10 +360,10 @@ def joint_summary(
 
     ``samples`` is either a JointSample (indices 0, 1, 2 for x, y, z) or a
     list of aligned samples; ``pairs`` lists (source, target) index pairs.
-    Gram matrices are built once per variable and shared.  Off-diagonal
-    covariance entries are clamped pairwise to keep the matrix positive
-    semidefinite.  With ``with_info`` the resolved kernel descriptors are
-    returned alongside the summary.
+    A list of kernel specs needs one spec per sample.  Gram matrices are
+    built once per variable and shared; the covariance is
+    ``covariance_summary`` of the estimates.  With ``with_info`` the
+    resolved kernel descriptors are returned alongside the summary.
     """
     if isinstance(samples, JointSample):
         sample_list = [samples.x, samples.y]
@@ -391,37 +384,19 @@ def joint_summary(
         spec_for = lambda i: KernelSpec()
     else:
         specs = list(kernel_specs)
-        spec_for = lambda i: specs[i]
-
-    grams: dict[int, GramMatrix] = {}
-
-    def gram(i: int) -> GramMatrix:
-        if i not in grams:
-            if not 0 <= i < len(sample_list):
-                raise ValueError(f"pair index {i} out of range")
-            grams[i] = build_zero_diag_gram(sample_list[i], spec_for(i))
-        return grams[i]
-
-    estimates = [
-        hsic_estimate(gram(a), gram(b), f"{a}-{b}") for a, b in pairs
-    ]
-    n = len(estimates)
-    m = sample_list[0].m
-    means = np.array([e.value for e in estimates])
-    variances = np.array([variance_hsic(e) for e in estimates])
-    cov = np.diag(variances)
-    f = float((m - 1) * (m - 2) * (m - 3))
-    for a in range(n):
-        for b in range(a + 1, n):
-            r = float(estimates[a].h_vector @ estimates[b].h_vector) / (
-                H_SUM_RATIO**2 * m * f * f
+        if len(specs) != len(sample_list):
+            raise ValueError(
+                f"{len(specs)} kernel specs for {len(sample_list)} samples;"
+                " need one per sample"
             )
-            c = (16.0 / m) * (r - means[a] * means[b])
-            bound = math.sqrt(variances[a] * variances[b])
-            if abs(c) > bound:
-                c = math.copysign(bound, c)
-            cov[a, b] = cov[b, a] = c
-    summary = JointGaussianSummary(means=means, covariance=cov, m=m)
+        spec_for = specs.__getitem__
+
+    estimates, grams = _pair_estimates(sample_list, pairs, spec_for)
+    summary = JointGaussianSummary(
+        means=np.array([e.value for e in estimates]),
+        covariance=covariance_summary(estimates),
+        m=sample_list[0].m,
+    )
     if with_info:
         info = {str(i): grams[i].descriptor() for i in sorted(grams)}
         return summary, info
@@ -450,17 +425,6 @@ def generalized_test(
     norm_sq = float(v @ v)
     statistic = float(v @ summary.means)
     projected = float((rot.q @ summary.covariance @ rot.q.T)[0, 0])
-    var = max(projected * norm_sq, VARIANCE_FLOOR)
-    std = math.sqrt(var)
-    p = _upper_p(statistic / std)
-    return TestResult(
-        statistic=statistic,
-        std_dev=std,
-        p_value=p,
-        alpha=alpha,
-        reject_null=p < alpha,
-        method=GENERALIZED,
-        m=summary.m,
-        small_m_warning=summary.m < SMALL_M_THRESHOLD,
-        kernel_info=None,
+    return _verdict(
+        statistic, projected * norm_sq, alpha, GENERALIZED, summary.m, summary.m
     )

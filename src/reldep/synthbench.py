@@ -29,14 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from reldep.dataset import JointSample, Sample
-from reldep.reltest import (
-    dependent_statistics,
-    dependent_test,
-    independent_statistics,
-    independent_test,
-    result_from_dependent,
-    result_from_independent,
-)
+from reldep.reltest import _dependent, _independent, dependent_test, independent_test
 
 __all__ = [
     "SynthConfig",
@@ -211,16 +204,14 @@ def calibration(
 def _scatter_trial(args) -> ScatterTrial:
     cfg, alpha, t = args
     j = sample_synthetic(cfg)
-    st = dependent_statistics(j)
-    si = independent_statistics(j)
-    rd = result_from_dependent(st, j.m, alpha)
-    ri = result_from_independent(si, j.m, alpha)
+    rd, (e_xy, e_xz) = _dependent(j, None, alpha)
+    ri, (h_xy, h_xz) = _independent(j, None, alpha, None)
     return ScatterTrial(
         trial=t,
-        hsic_xy=st.e_xy.value,
-        hsic_xz=st.e_xz.value,
-        hsic_xy_half=si.e_xy.value,
-        hsic_xz_half=si.e_xz.value,
+        hsic_xy=e_xy.value,
+        hsic_xz=e_xz.value,
+        hsic_xy_half=h_xy.value,
+        hsic_xz_half=h_xz.value,
         p_dep=rd.p_value,
         p_indep=ri.p_value,
     )
@@ -237,8 +228,7 @@ def scatter_experiment(
 
 
 def _difference_trial(cfg: SynthConfig) -> float:
-    st = dependent_statistics(sample_synthetic(cfg))
-    return st.e_xy.value - st.e_xz.value
+    return dependent_test(sample_synthetic(cfg)).statistic
 
 
 def convergence_diagnostic(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reldep.dataset import Sample
-from reldep.kernels import Bandwidth, gram_gaussian, zero_diagonal
+from reldep.kernels import KernelSpec, build_zero_diag_gram
 
 
 @pytest.fixture
@@ -14,8 +14,8 @@ def random_zero_diag_pair(rng, m, d=3, bw=(1.3, 0.8)):
     """Seeded pair of zero-diagonal Gaussian Gram matrices."""
     x = Sample(rng.standard_normal((m, d)), "x")
     y = Sample(rng.standard_normal((m, d)), "y")
-    kt = zero_diagonal(gram_gaussian(x, Bandwidth(bw[0])))
-    lt = zero_diagonal(gram_gaussian(y, Bandwidth(bw[1])))
+    kt = build_zero_diag_gram(x, KernelSpec(bandwidth=bw[0]))
+    lt = build_zero_diag_gram(y, KernelSpec(bandwidth=bw[1]))
     return kt, lt
 
 
@@ -25,4 +25,4 @@ def constant_offdiag_gram(m, c=0.4):
     np.fill_diagonal(values, 0.0)
     from reldep.kernels import GramMatrix
 
-    return GramMatrix(values=values, zero_diagonal=True, family="linear", bandwidth=None)
+    return GramMatrix(values=values, family="linear", bandwidth=None)

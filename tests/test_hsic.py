@@ -7,21 +7,19 @@ from reldep.hsic import (
     VARIANCE_FLOOR,
     covariance_summary,
     cross_covariance,
-    h_vector,
     h_vector_bruteforce,
     hsic_bruteforce,
     hsic_estimate,
-    hsic_unbiased,
     variance_hsic,
 )
-from reldep.kernels import Bandwidth, GramMatrix, gram_gaussian, zero_diagonal
+from reldep.kernels import GramMatrix, KernelSpec, build_zero_diag_gram, pairwise_sq_distances
 
 from conftest import constant_offdiag_gram, random_zero_diag_pair
 
 
 def permuted(g: GramMatrix, perm) -> GramMatrix:
     values = g.values[np.ix_(perm, perm)]
-    return GramMatrix(values=values, zero_diagonal=True, family=g.family, bandwidth=g.bandwidth)
+    return GramMatrix(values=values, family=g.family, bandwidth=g.bandwidth)
 
 
 class TestUnbiasedEstimator:
@@ -29,50 +27,50 @@ class TestUnbiasedEstimator:
         for m in (4, 6, 8, 10):
             for _ in range(5):
                 kt, lt = random_zero_diag_pair(rng, m)
-                fast = hsic_unbiased(kt, lt)
+                fast = hsic_estimate(kt, lt).value
                 slow = hsic_bruteforce(kt, lt)
                 assert abs(fast - slow) < 1e-9 * max(1.0, abs(slow))
 
     def test_constant_target_is_zero(self, rng):
         kt, _ = random_zero_diag_pair(rng, 9)
         lt = constant_offdiag_gram(9, c=0.4)
-        assert abs(hsic_unbiased(kt, lt)) < 1e-12
+        assert abs(hsic_estimate(kt, lt).value) < 1e-12
         assert hsic_bruteforce(kt, lt) == 0.0
 
     def test_argument_symmetry_exact(self, rng):
         kt, lt = random_zero_diag_pair(rng, 12)
-        assert hsic_unbiased(kt, lt) == hsic_unbiased(lt, kt)
+        assert hsic_estimate(kt, lt).value == hsic_estimate(lt, kt).value
 
     def test_m4_boundary(self, rng):
         kt, lt = random_zero_diag_pair(rng, 4)
         assert np.isfinite(hsic_bruteforce(kt, lt))
-        assert np.isfinite(hsic_unbiased(kt, lt))
+        assert np.isfinite(hsic_estimate(kt, lt).value)
 
     def test_m3_rejected(self, rng):
         x = Sample(rng.standard_normal((3, 2)), "x")
-        g = zero_diagonal(gram_gaussian(x, Bandwidth(1.0)))
+        g = build_zero_diag_gram(x, KernelSpec(bandwidth=1.0))
         with pytest.raises(PreconditionError, match="m >= 4"):
-            hsic_unbiased(g, g)
+            hsic_estimate(g, g)
 
     def test_size_mismatch(self, rng):
         kt, _ = random_zero_diag_pair(rng, 6)
         lt, _ = random_zero_diag_pair(rng, 8)
         with pytest.raises(ValueError, match="sizes differ"):
-            hsic_unbiased(kt, lt)
+            hsic_estimate(kt, lt)
 
     def test_requires_zero_diagonal(self, rng):
+        # The estimator's input type refuses a Gram with its diagonal intact.
         x = Sample(rng.standard_normal((6, 2)), "x")
-        g = gram_gaussian(x, Bandwidth(1.0))
-        gz = zero_diagonal(g)
+        full = np.exp(-0.5 * pairwise_sq_distances(x))
         with pytest.raises(ValueError, match="zero-diagonal"):
-            hsic_unbiased(g, gz)
+            GramMatrix(values=full, family="gaussian", bandwidth=1.0)
 
     def test_permutation_invariance(self, rng):
         kt, lt = random_zero_diag_pair(rng, 10)
-        base = hsic_unbiased(kt, lt)
+        base = hsic_estimate(kt, lt).value
         for _ in range(5):
             perm = rng.permutation(10)
-            shuffled = hsic_unbiased(permuted(kt, perm), permuted(lt, perm))
+            shuffled = hsic_estimate(permuted(kt, perm), permuted(lt, perm)).value
             assert shuffled == pytest.approx(base, abs=1e-12, rel=1e-12)
 
     def test_bruteforce_guard(self, rng):
@@ -86,7 +84,7 @@ class TestUnbiasedEstimator:
         vals = []
         for _ in range(300):
             kt, lt = random_zero_diag_pair(rng, 12)
-            vals.append(hsic_unbiased(kt, lt))
+            vals.append(hsic_estimate(kt, lt).value)
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean()) < 4 * se
@@ -96,7 +94,7 @@ class TestHVector:
     def test_ratio_to_bruteforce_is_frozen_constant(self, rng):
         for m in (8, 10, 12):
             kt, lt = random_zero_diag_pair(rng, m)
-            fast = h_vector(kt, lt)
+            fast = hsic_estimate(kt, lt).h_vector
             raw = h_vector_bruteforce(kt, lt)
             assert np.all(
                 np.abs(fast - H_SUM_RATIO * raw) < 1e-9 * np.maximum(1.0, np.abs(raw))
@@ -105,7 +103,7 @@ class TestHVector:
     def test_constant_target_gives_zero_vector(self, rng):
         kt, _ = random_zero_diag_pair(rng, 8)
         lt = constant_offdiag_gram(8)
-        assert np.all(np.abs(h_vector(kt, lt)) < 1e-9)
+        assert np.all(np.abs(hsic_estimate(kt, lt).h_vector) < 1e-9)
         assert np.array_equal(h_vector_bruteforce(kt, lt), np.zeros(8))
 
     def test_per_index_sums_recover_estimator(self, rng):
@@ -115,7 +113,7 @@ class TestHVector:
         kt, lt = random_zero_diag_pair(rng, m)
         raw = h_vector_bruteforce(kt, lt)
         m4 = m * (m - 1) * (m - 2) * (m - 3)
-        assert raw.sum() == pytest.approx(m4 * hsic_unbiased(kt, lt), rel=1e-10)
+        assert raw.sum() == pytest.approx(m4 * hsic_estimate(kt, lt).value, rel=1e-10)
 
     def test_bruteforce_m4_counts_six_tuples_per_index(self, rng):
         # At m=4 each index has exactly (3)_3 = 6 ordered tuples, all equal
@@ -145,8 +143,8 @@ class TestVariance:
             t = rng.uniform(0, 2 * np.pi, size=200)
             x = Sample(np.column_stack([t, np.sin(t)]), "x")
             y = Sample(np.column_stack([t * np.cos(t), t * np.sin(t)]), "y")
-            kt = zero_diagonal(gram_gaussian(x, Bandwidth(1.0)))
-            lt = zero_diagonal(gram_gaussian(y, Bandwidth(2.0)))
+            kt = build_zero_diag_gram(x, KernelSpec(bandwidth=1.0))
+            lt = build_zero_diag_gram(y, KernelSpec(bandwidth=2.0))
             e = hsic_estimate(kt, lt)
             assert variance_hsic(e) > VARIANCE_FLOOR
 
@@ -166,8 +164,8 @@ class TestVariance:
                     + 0.3 * rng.standard_normal((m, 2)),
                     "y",
                 )
-                kt = zero_diagonal(gram_gaussian(x, Bandwidth(1.5)))
-                lt = zero_diagonal(gram_gaussian(y, Bandwidth(2.5)))
+                kt = build_zero_diag_gram(x, KernelSpec(bandwidth=1.5))
+                lt = build_zero_diag_gram(y, KernelSpec(bandwidth=2.5))
                 out.append(variance_hsic(hsic_estimate(kt, lt)))
             return float(np.mean(out))
 
@@ -235,8 +233,8 @@ class TestSyntheticBatchProperties:
             assert var_xy > VARIANCE_FLOOR and var_xz > VARIANCE_FLOOR
             raw = cross_covariance(e_xy, e_xz)
             assert abs(raw) <= np.sqrt(var_xy * var_xz) + 1e-8
-            summary = covariance_summary(e_xy, e_xz)
-            assert np.linalg.eigvalsh(summary.matrix())[0] >= -1e-18
+            summary = covariance_summary([e_xy, e_xz])
+            assert np.linalg.eigvalsh(summary)[0] >= -1e-18
 
 
 class TestCovarianceSummary:
@@ -244,17 +242,27 @@ class TestCovarianceSummary:
         for m in (8, 20, 60):
             kt, lt = random_zero_diag_pair(rng, m)
             _, dt = random_zero_diag_pair(rng, m)
-            s = covariance_summary(hsic_estimate(kt, lt), hsic_estimate(kt, dt))
-            assert abs(s.cov_xyxz) <= np.sqrt(s.var_xy * s.var_xz) * (1 + 1e-15)
-            assert np.linalg.eigvalsh(s.matrix())[0] >= -1e-18
+            s = covariance_summary([hsic_estimate(kt, lt), hsic_estimate(kt, dt)])
+            assert abs(s[0, 1]) <= np.sqrt(s[0, 0] * s[1, 1]) * (1 + 1e-15)
+            assert np.linalg.eigvalsh(s)[0] >= -1e-18
 
     def test_identical_targets_fully_correlated(self, rng):
         kt, lt = random_zero_diag_pair(rng, 30)
-        s = covariance_summary(hsic_estimate(kt, lt), hsic_estimate(kt, lt))
-        assert s.var_xy == s.var_xz
-        assert abs(s.cov_xyxz) == pytest.approx(s.var_xy, rel=1e-12)
+        s = covariance_summary([hsic_estimate(kt, lt), hsic_estimate(kt, lt)])
+        assert s[0, 0] == s[1, 1]
+        assert abs(s[0, 1]) == pytest.approx(s[0, 0], rel=1e-12)
 
-    def test_scale_note_default(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 10)
-        s = covariance_summary(hsic_estimate(kt, lt), hsic_estimate(kt, lt))
-        assert s.scale_note == "unscaled_statistic"
+    def test_entries_are_variances_and_clamped_cross_terms(self, rng):
+        m = 40
+        kt, lt = random_zero_diag_pair(rng, m)
+        _, dt = random_zero_diag_pair(rng, m)
+        _, gt = random_zero_diag_pair(rng, m)
+        es = [hsic_estimate(kt, lt), hsic_estimate(kt, dt), hsic_estimate(kt, gt)]
+        s = covariance_summary(es)
+        assert s.shape == (3, 3) and np.array_equal(s, s.T)
+        for a in range(3):
+            assert s[a, a] == variance_hsic(es[a])
+            for b in range(a + 1, 3):
+                raw = cross_covariance(es[a], es[b])
+                bound = np.sqrt(s[a, a] * s[b, b])
+                assert s[a, b] == (raw if abs(raw) <= bound else np.copysign(bound, raw))

@@ -4,15 +4,20 @@ import pytest
 from reldep.dataset import PreconditionError, Sample
 from reldep.kernels import (
     Bandwidth,
+    GramMatrix,
     KernelSpec,
-    build_gram,
     build_zero_diag_gram,
-    gram_gaussian,
-    gram_linear,
     median_heuristic,
     pairwise_sq_distances,
-    zero_diagonal,
 )
+
+
+def gaussian(s, sigma):
+    return build_zero_diag_gram(s, KernelSpec(bandwidth=sigma))
+
+
+def linear(s):
+    return build_zero_diag_gram(s, KernelSpec(family="linear"))
 
 
 class TestPairwiseSqDistances:
@@ -88,39 +93,41 @@ class TestMedianHeuristic:
 
 
 class TestGramGaussian:
-    def test_diagonal_is_one(self, rng):
+    def test_diagonal_masked_offdiagonal_in_unit_interval(self, rng):
         s = Sample(rng.standard_normal((10, 2)), "s")
-        g = gram_gaussian(s, Bandwidth(1.5))
-        assert np.all(np.diag(g.values) == 1.0)
-        assert np.all(g.values > 0.0) and np.all(g.values <= 1.0)
+        g = gaussian(s, 1.5)
+        off = ~np.eye(10, dtype=bool)
+        assert np.all(np.diag(g.values) == 0.0)
+        assert np.all(g.values[off] > 0.0) and np.all(g.values[off] <= 1.0)
 
     def test_distance_sigma_sqrt2_gives_exp_minus_one(self):
         s = Sample(np.array([[0.0], [np.sqrt(2.0) * 1.7]]), "s")
-        g = gram_gaussian(s, Bandwidth(1.7))
+        g = gaussian(s, 1.7)
         assert g.values[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_unit_points_sigma_one(self):
         s = Sample(np.array([0.0, 1.0]), "s")
-        g = gram_gaussian(s, Bandwidth(1.0))
+        g = gaussian(s, 1.0)
         assert g.values[0, 1] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_positive_semidefinite_small_instances(self, rng):
+        # The full Gaussian Gram is the masked one plus the unit diagonal.
         for _ in range(10):
             m = int(rng.integers(2, 21))
             s = Sample(rng.standard_normal((m, int(rng.integers(1, 4)))), "s")
-            g = gram_gaussian(s, Bandwidth(float(rng.uniform(0.3, 3.0))))
-            eigmin = np.linalg.eigvalsh(g.values)[0]
+            g = gaussian(s, float(rng.uniform(0.3, 3.0)))
+            eigmin = np.linalg.eigvalsh(g.values + np.eye(m))[0]
             assert eigmin >= -1e-10
 
     def test_monotone_in_sigma(self):
         s = Sample(np.array([0.0, 1.0, 2.5]), "s")
-        lo = gram_gaussian(s, Bandwidth(0.5)).values
-        hi = gram_gaussian(s, Bandwidth(2.0)).values
+        lo = gaussian(s, 0.5).values
+        hi = gaussian(s, 2.0).values
         off = ~np.eye(3, dtype=bool)
         assert np.all(hi[off] > lo[off])
 
     def test_values_readonly(self, rng):
-        g = gram_gaussian(Sample(rng.standard_normal((5, 2)), "s"), Bandwidth(1.0))
+        g = gaussian(Sample(rng.standard_normal((5, 2)), "s"), 1.0)
         with pytest.raises(ValueError):
             g.values[0, 0] = 7.0
 
@@ -128,58 +135,64 @@ class TestGramGaussian:
 class TestGramLinear:
     def test_unit_rows(self):
         s = Sample(np.array([[1.0, 0.0], [0.0, 1.0]]), "s")
-        assert np.array_equal(gram_linear(s).values, np.eye(2))
+        assert np.array_equal(linear(s).values, np.zeros((2, 2)))
 
     def test_scalars(self):
         s = Sample(np.array([2.0, 3.0]), "s")
-        assert np.array_equal(gram_linear(s).values, [[4.0, 6.0], [6.0, 9.0]])
+        assert np.array_equal(linear(s).values, [[0.0, 6.0], [6.0, 0.0]])
 
     def test_single_row_squared_norm(self):
-        s = Sample(np.array([[1.0, 2.0, 2.0]]), "s")
-        assert gram_linear(s).values[0, 0] == pytest.approx(9.0)
+        # A row paired with an identical row gives its squared norm.
+        s = Sample(np.array([[1.0, 2.0, 2.0], [1.0, 2.0, 2.0]]), "s")
+        assert linear(s).values[0, 1] == pytest.approx(9.0)
 
 
 class TestZeroDiagonal:
     def test_masks_diagonal_only(self):
         s = Sample(np.array([2.0, 3.0]), "s")
-        g = zero_diagonal(gram_linear(s))
+        g = linear(s)
         assert np.array_equal(g.values, [[0.0, 6.0], [6.0, 0.0]])
-        assert g.zero_diagonal
 
-    def test_double_application_errors(self):
-        g = zero_diagonal(gram_linear(Sample(np.array([2.0, 3.0]), "s")))
-        with pytest.raises(ValueError, match="already zero-diagonal"):
-            zero_diagonal(g)
+    def test_nonzero_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="zero-diagonal"):
+            GramMatrix(values=np.array([[4.0, 6.0], [6.0, 9.0]]), family="linear", bandwidth=None)
+        with pytest.raises(ValueError, match="zero-diagonal"):
+            GramMatrix(values=np.zeros((2, 3)), family="linear", bandwidth=None)
 
     def test_descriptor_preserved(self, rng):
-        g = gram_gaussian(Sample(rng.standard_normal((6, 2)), "s"), Bandwidth(1.1))
-        gz = zero_diagonal(g)
+        gz = gaussian(Sample(rng.standard_normal((6, 2)), "s"), 1.1)
         assert gz.family == "gaussian" and gz.bandwidth == 1.1
 
 
 class TestBuildGram:
     def test_bandwidth_override(self, rng):
         s = Sample(rng.standard_normal((8, 2)), "s")
-        g = build_gram(s, KernelSpec(bandwidth=2.5))
+        g = build_zero_diag_gram(s, KernelSpec(bandwidth=2.5))
         assert g.bandwidth == 2.5
 
     def test_median_resolved(self, rng):
         s = Sample(rng.standard_normal((8, 2)), "s")
-        g = build_gram(s, KernelSpec())
+        g = build_zero_diag_gram(s, KernelSpec())
         assert g.bandwidth == pytest.approx(median_heuristic(s).sigma)
 
     def test_linear_family(self, rng):
         s = Sample(rng.standard_normal((8, 2)), "s")
-        g = build_gram(s, KernelSpec(family="linear"))
+        g = build_zero_diag_gram(s, KernelSpec(family="linear"))
         assert g.family == "linear" and g.bandwidth is None
 
     def test_fused_zero_diag_matches_public_path(self, rng):
+        # Bit-identical to the kernel map written out from the public pieces.
         for spec in (KernelSpec(), KernelSpec(bandwidth=0.9), KernelSpec(family="linear")):
             s = Sample(rng.standard_normal((17, 2)), "s")
-            a = zero_diagonal(build_gram(s, spec))
             b = build_zero_diag_gram(s, spec)
-            assert np.array_equal(a.values, b.values)
-            assert a.bandwidth == b.bandwidth and a.family == b.family
+            if spec.family == "linear":
+                a, sigma = s.data @ s.data.T, None
+            else:
+                sigma = spec.bandwidth or median_heuristic(s).sigma
+                a = np.exp(pairwise_sq_distances(s) * (-0.5 / (sigma * sigma)))
+            np.fill_diagonal(a, 0.0)
+            assert np.array_equal(a, b.values)
+            assert b.bandwidth == sigma and b.family == spec.family
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

@@ -222,16 +222,26 @@ class TestJointSummaryAndGeneralized:
         assert np.linalg.eigvalsh(cov)[0] >= -1e-18
 
     def test_matches_pairwise_covariance_summary(self):
-        from reldep.hsic import covariance_summary
-        from reldep.reltest import dependent_statistics
+        from reldep.hsic import covariance_summary, hsic_estimate
+        from reldep.kernels import build_zero_diag_gram
 
         j = synthetic_joint()
-        st = dependent_statistics(j)
+        ktx, kty, ktz = (build_zero_diag_gram(s, KernelSpec()) for s in (j.x, j.y, j.z))
+        e_xy, e_xz = hsic_estimate(ktx, kty), hsic_estimate(ktx, ktz)
+        cov = covariance_summary([e_xy, e_xz])
         summary = joint_summary(j, [(0, 1), (0, 2)])
-        assert summary.means[0] == pytest.approx(st.e_xy.value, rel=1e-14)
-        assert summary.means[1] == pytest.approx(st.e_xz.value, rel=1e-14)
-        assert summary.covariance[0, 0] == pytest.approx(st.cov.var_xy, rel=1e-14)
-        assert summary.covariance[0, 1] == pytest.approx(st.cov.cov_xyxz, rel=1e-14)
+        assert summary.means[0] == pytest.approx(e_xy.value, rel=1e-14)
+        assert summary.means[1] == pytest.approx(e_xz.value, rel=1e-14)
+        assert summary.covariance[0, 0] == pytest.approx(cov[0, 0], rel=1e-14)
+        assert summary.covariance[0, 1] == pytest.approx(cov[0, 1], rel=1e-14)
+
+    def test_kernel_spec_count_must_match_samples(self, rng):
+        samples = [Sample(rng.standard_normal((12, 2)), f"v{k}") for k in range(4)]
+        pairs = [(0, 1), (0, 3)]
+        for n_specs in (2, 5):
+            with pytest.raises(ValueError, match=f"{n_specs} kernel specs for 4 samples"):
+                joint_summary(samples, pairs, [KernelSpec()] * n_specs)
+        assert joint_summary(samples, pairs, [KernelSpec()] * 4).n == 2
 
     def test_constant_target_zero_row(self):
         j = synthetic_joint()
