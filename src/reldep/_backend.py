@@ -1,46 +1,60 @@
-"""Backend selection for the hot kernels.
+"""NumPy implementations of the O(m^2) hot kernels.
 
-Prefers the compiled Cython module and falls back to the NumPy
-implementation when the extension was not built.  Set ``RELDEP_BACKEND``
-to ``python`` or ``compiled`` to pin a backend explicitly (``compiled``
-raises if the extension is missing, which is the behaviour you want in a
-deployment that insists on it).
+Distances, distance order statistics and the HSIC row reductions.  Elementwise
+maps such as the Gaussian kernel stay with their callers; NumPy's vectorized
+exp is already the fastest tool for that job.
 """
 
-import os
-
-from reldep import _core_numpy
-
-try:
-    from reldep import _core
-
-    HAVE_COMPILED = True
-except ImportError:
-    _core = None
-    HAVE_COMPILED = False
-
-_requested = os.environ.get("RELDEP_BACKEND", "auto").lower()
-
-if _requested == "python":
-    _impl = _core_numpy
-elif _requested == "compiled":
-    if not HAVE_COMPILED:
-        raise ImportError(
-            "RELDEP_BACKEND=compiled but the reldep._core extension is not built"
-        )
-    _impl = _core
-elif _requested == "auto":
-    _impl = _core if HAVE_COMPILED else _core_numpy
-else:
-    raise ValueError(f"unknown RELDEP_BACKEND value: {_requested!r}")
-
-BACKEND = _impl.BACKEND_NAME
-
-pairwise_sq_dists = _impl.pairwise_sq_dists
-sq_distance_order_stats = _impl.sq_distance_order_stats
-hsic_h_reductions = _impl.hsic_h_reductions
+import numpy as np
 
 
 def backend_name() -> str:
-    """Name of the active backend: ``compiled`` or ``python``."""
-    return BACKEND
+    """Name of the kernel implementation, recorded in benchmark stamps."""
+    return "python"
+
+
+def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x`` (m, d).
+
+    Uses the expansion ||a-b||^2 = ||a||^2 + ||b||^2 - 2<a,b>, clipped at
+    zero to kill the tiny negatives the cancellation can produce.  The
+    result is exactly symmetric with an exactly zero diagonal.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def sq_distance_order_stats(d2: np.ndarray, k1: int, k2: int):
+    """k1-th and k2-th smallest squared distance over the unique-pair pool.
+
+    Ranks are 0-based within the m(m-1)/2 unordered pairs.  The strict upper
+    triangle is packed row by row into one buffer, so each pair appears once
+    and the diagonal not at all, and the buffer is partitioned in place.
+    """
+    m = d2.shape[0]
+    pool = np.empty(m * (m - 1) // 2, dtype=np.float64)
+    pos = 0
+    for i in range(m - 1):
+        n = m - 1 - i
+        pool[pos : pos + n] = d2[i, i + 1 :]
+        pos += n
+    pool.partition(sorted({k1, k2}))
+    return float(pool[k1]), float(pool[k2])
+
+
+def hsic_h_reductions(k: np.ndarray, l: np.ndarray):
+    """Single-pass reductions over a pair of zero-diagonal Gram matrices.
+
+    Returns ``(kl_row, k_row, l_row, k_lrow, l_krow)`` where
+    ``kl_row[i] = sum_j K_ij L_ij``, ``k_row``/``l_row`` are the plain row
+    sums and ``k_lrow = K @ l_row``, ``l_krow = L @ k_row``.  The unbiased
+    estimator and its h-vector are O(m) reductions of these vectors.
+    """
+    kl_row = np.einsum("ij,ij->i", k, l)
+    k_row = k.sum(axis=1)
+    l_row = l.sum(axis=1)
+    return kl_row, k_row, l_row, k @ l_row, l @ k_row

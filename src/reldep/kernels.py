@@ -3,9 +3,8 @@
 Two kernel families are supported: the Gaussian kernel
 ``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` with sigma chosen by the
 median heuristic unless overridden, and the plain linear kernel
-``k(a, b) = <a, b>``.  Construction computes each pair once and mirrors
-it, so Gram matrices are exactly symmetric; they are returned read-only
-and can be shared freely across workers.
+``k(a, b) = <a, b>``.  Gram matrices are exactly symmetric; they are
+returned read-only and can be shared freely across workers.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """The package's public surface: ``reldep.__all__`` and what callers import."""
 
 import ast
+import importlib
+import importlib.util
 import re
 import types
 from pathlib import Path
@@ -52,3 +54,13 @@ def test_callers_find_their_names(caller):
         if isinstance(value, types.ModuleType):
             continue  # submodules are reached through the package
         assert name in reldep.__all__, f"{caller} uses reldep.{name}"
+
+
+def test_tracer_targets_resolve():
+    # The tracer marks a missing target absent and carries on, so a kernel
+    # that moves would silently zero its layer metrics.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module, attr, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reldep.dataset import Sample, align
-from reldep.reltest import dependent_test, joint_summary
+from reldep.reltest import dependent_test, generalized_test, joint_summary
 from reldep.synthbench import SynthConfig, sample_synthetic
 
 PROPERTY = settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -28,6 +28,15 @@ def test_row_permutation_invariance(seed, m, gamma3):
     assert b.statistic == pytest.approx(a.statistic, rel=1e-9)
     assert b.std_dev == pytest.approx(a.std_dev, rel=1e-9)
     assert b.kernel_info == a.kernel_info  # bandwidths exactly equal
+
+
+@PROPERTY
+@given(seed=seeds, m=st.integers(min_value=8, max_value=60), gamma3=st.floats(0.0, 2.0))
+def test_swapping_targets_negates_statistic(seed, m, gamma3):
+    j = sample_synthetic(SynthConfig(m=m, gamma3=gamma3, seed=seed))
+    a, b = dependent_test(j), dependent_test(align(j.x, j.z, j.y))
+    assert b.statistic == -a.statistic
+    assert b.std_dev == a.std_dev
 
 
 N_VARS = 5
@@ -51,3 +60,19 @@ def test_joint_summary_covariance_is_psd(seed, m, pairs):
     ]
     summary = joint_summary(samples, pairs)
     assert summary.n == len(pairs)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    m=st.integers(min_value=8, max_value=40),
+    weights=st.lists(st.floats(-2.0, 2.0).filter(lambda w: abs(w) > 0.1), min_size=3, max_size=3),
+    c=st.floats(1e-3, 1e4),
+)
+def test_weight_scaling_scales_statistic_keeps_p(seed, m, weights, c):
+    j = sample_synthetic(SynthConfig(m=m, gamma3=1.0, seed=seed))
+    summary = joint_summary(j, [(0, 1), (0, 2), (1, 2)])
+    a = generalized_test(summary, weights)
+    b = generalized_test(summary, [c * w for w in weights])
+    assert b.statistic == pytest.approx(c * a.statistic, rel=1e-12)
+    assert b.p_value == pytest.approx(a.p_value, rel=1e-12)
