@@ -16,11 +16,16 @@ def backend_name() -> str:
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x`` (m, d).
 
-    Uses the expansion ||a-b||^2 = ||a||^2 + ||b||^2 - 2<a,b>, clipped at
-    zero to kill the tiny negatives the cancellation can produce.  The
-    result is exactly symmetric with an exactly zero diagonal.
+    Centres each column at its midrange, which leaves every distance
+    unchanged, then uses the expansion ||a-b||^2 = ||a||^2 + ||b||^2 - 2<a,b>,
+    clipped at zero to kill the tiny negatives the cancellation can produce.
+    Without the centring the expansion cancels catastrophically on data far
+    from the origin.  The midrange, unlike the mean, does not depend on the
+    row order, so permuting the rows permutes the result exactly.  The result
+    is exactly symmetric with an exactly zero diagonal.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    x = x - 0.5 * (x.min(axis=0) + x.max(axis=0))
     sq = np.einsum("ij,ij->i", x, x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.maximum(d2, 0.0, out=d2)

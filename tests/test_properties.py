@@ -39,6 +39,21 @@ def test_swapping_targets_negates_statistic(seed, m, gamma3):
     assert b.std_dev == a.std_dev
 
 
+@PROPERTY
+@given(seed=seeds, m=st.integers(min_value=20, max_value=200))
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_translation_invariance_far_from_origin(offset, seed, m):
+    j = sample_synthetic(SynthConfig(m=m, gamma3=0.7, seed=seed))
+    moved = align(*(Sample(s.data + offset) for s in (j.x, j.y, j.z)))
+    a, b = dependent_test(j), dependent_test(moved)
+    for field in ("statistic", "std_dev", "p_value"):
+        assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-5), field
+    for name in "xyz":
+        assert b.kernel_info[name]["bandwidth"] == pytest.approx(
+            a.kernel_info[name]["bandwidth"], rel=1e-7
+        )
+
+
 N_VARS = 5
 pair_lists = st.lists(
     st.tuples(st.integers(0, N_VARS - 1), st.integers(0, N_VARS - 1)),
