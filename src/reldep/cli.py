@@ -229,8 +229,8 @@ def cmd_hsic(args) -> int:
     if x.m != y.m:
         raise DatasetError(f"sample sizes {x.m},{y.m} differ")
     config = _kernel_config(args)
-    gx = build_zero_diag_gram(x, config.x)
-    gy = build_zero_diag_gram(y, config.y)
+    gx = build_zero_diag_gram(x, config.x, held=2)
+    gy = build_zero_diag_gram(y, config.y, held=2)
     est = hsic_estimate(gx, gy, "XY")
     payload = {
         "hsic": est.value,

@@ -94,9 +94,8 @@ def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicE
     quantity is nonnegative.
     """
     m = _check_pair(kt, lt)
-    kl_row, k_row, l_row, k_lrow, l_krow = _backend.hsic_h_reductions(
-        kt.values, lt.values
-    )
+    k_row, l_row = kt.row_sums, lt.row_sums
+    kl_row, k_lrow, l_krow = _backend.hsic_h_reductions(kt.values, lt.values, k_row, l_row)
     trace_kl = float(kl_row.sum())
     sum_k = float(k_row.sum())
     sum_l = float(l_row.sum())

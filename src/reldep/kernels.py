@@ -3,13 +3,16 @@
 Two kernel families are supported: the Gaussian kernel
 ``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` with sigma chosen by the
 median heuristic unless overridden, and the plain linear kernel
-``k(a, b) = <a, b>``.  Gram matrices are exactly symmetric; they are
-returned read-only and can be shared freely across workers.
+``k(a, b) = <a, b>``.  A Gaussian Gram lives in one m x m buffer from
+distances to kernel values: the distances are written into it, the exact
+median is selected from it and the kernel map rewrites it in place.  Gram
+matrices are exactly symmetric and carry their row sums; they are returned
+read-only and can be shared freely across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,12 +78,15 @@ class GramMatrix:
     """Symmetric matrix of kernel evaluations over one sample, diagonal masked.
 
     The unbiased estimators assume K_ii = 0, so any other matrix is
-    rejected here rather than silently biasing an estimate.
+    rejected here rather than silently biasing an estimate.  ``row_sums``
+    is ``values.sum(axis=1)``; it is computed here unless the builder
+    already took it during its own pass over the matrix.
     """
 
     values: np.ndarray
     family: str
     bandwidth: float | None
+    row_sums: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -88,6 +94,10 @@ class GramMatrix:
             raise ValueError("Gram matrix values must be square and zero-diagonal")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        sums = v.sum(axis=1) if self.row_sums is None else self.row_sums
+        sums = np.ascontiguousarray(sums, dtype=np.float64)
+        sums.setflags(write=False)
+        object.__setattr__(self, "row_sums", sums)
 
     @property
     def m(self) -> int:
@@ -135,20 +145,22 @@ def median_heuristic(s: Sample) -> Bandwidth:
     return Bandwidth(_median_sigma(_backend.pairwise_sq_dists(s.data)))
 
 
-def build_zero_diag_gram(s: Sample, spec: KernelSpec) -> GramMatrix:
+def build_zero_diag_gram(s: Sample, spec: KernelSpec, held: int = 1) -> GramMatrix:
     """Zero-diagonal Gram matrix for one variable, the estimators' input.
 
     A Gaussian spec without a bandwidth resolves it by the median heuristic
     on the same distance matrix the kernel map is then applied to, in
-    place, which matters inside Monte-Carlo loops.
+    place, tile by tile, which matters inside Monte-Carlo loops.
+    ``held`` is the number of Gram matrices of this size the caller keeps
+    at once; if they cannot fit in physical memory, PreconditionError is
+    raised before any is allocated.
     """
     if spec.family == LINEAR:
-        values = s.data @ s.data.T
-        sigma = None
-    else:
-        values = _backend.pairwise_sq_dists(s.data)
-        sigma = _median_sigma(values) if spec.bandwidth is None else spec.bandwidth
-        values *= -0.5 / (sigma * sigma)
-        np.exp(values, out=values)
-    np.fill_diagonal(values, 0.0)
-    return GramMatrix(values=values, family=spec.family, bandwidth=sigma)
+        values = _backend.square_buffer(s.m, held)
+        np.matmul(s.data, s.data.T, out=values)
+        np.fill_diagonal(values, 0.0)
+        return GramMatrix(values=values, family=LINEAR, bandwidth=None)
+    values = _backend.pairwise_sq_dists(s.data, held)
+    sigma = _median_sigma(values) if spec.bandwidth is None else spec.bandwidth
+    row_sums = _backend.gaussian_map(values, sigma)
+    return GramMatrix(values=values, family=spec.family, bandwidth=sigma, row_sums=row_sums)

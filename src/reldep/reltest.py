@@ -248,12 +248,13 @@ def _pair_estimates(
     Returns the estimates in pair order and the Gram matrices by index.
     """
     grams: dict[int, GramMatrix] = {}
+    held = len({i for pair in pairs for i in pair})
 
     def gram(i: int) -> GramMatrix:
         if i not in grams:
             if not 0 <= i < len(samples):
                 raise ValueError(f"pair index {i} out of range")
-            grams[i] = build_zero_diag_gram(samples[i], spec_for(i))
+            grams[i] = build_zero_diag_gram(samples[i], spec_for(i), held=held)
         return grams[i]
 
     estimates = [hsic_estimate(gram(a), gram(b), f"{a}-{b}") for a, b in pairs]
@@ -314,8 +315,8 @@ def _independent(
     _check_alpha(alpha)
     cfg = kernel_config or KernelConfig()
     first, second = split_half(j, shuffle_seed=shuffle_seed)
-    gx1, gy = build_zero_diag_gram(first.x, cfg.x), build_zero_diag_gram(first.y, cfg.y)
-    gx2, gz = build_zero_diag_gram(second.x, cfg.x), build_zero_diag_gram(second.y, cfg.z)
+    halves = ((first.x, cfg.x), (first.y, cfg.y), (second.x, cfg.x), (second.y, cfg.z))
+    gx1, gy, gx2, gz = (build_zero_diag_gram(s, spec, held=4) for s, spec in halves)
     e_xy = hsic_estimate(gx1, gy, "X'Y'")
     e_xz = hsic_estimate(gx2, gz, "X''Z''")
     info = {

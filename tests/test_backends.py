@@ -1,14 +1,35 @@
 """The O(m^2) kernels in reldep._backend against direct computation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import reldep
 from reldep import _backend
+from reldep.dataset import PreconditionError, Sample, align
+from reldep.kernels import KernelSpec, build_zero_diag_gram, median_heuristic
+from reldep.reltest import dependent_test
+
+TILE = _backend.TILE_ROWS
+# Largest m whose inner products come from one BLAS call.
+ONE_CALL_M = int((_backend.ONE_CALL_BYTES // 8) ** 0.5)
 
 
 def test_backend_name_is_constant():
     assert reldep.backend_name() == "python"
+
+
+def sorted_pool(d2):
+    return np.sort(d2[np.triu_indices(d2.shape[0], k=1)])
+
+
+def rank_pairs(n):
+    """(k1, k2) pairs at both ends and in the middle of an n-pair pool."""
+    pairs = {(0, 0), (n - 1, n - 1), (0, n - 1), (n // 2, n // 2), (n // 3, 2 * n // 3)}
+    if n >= 2:
+        pairs.add((n // 2 - 1, n // 2))
+    return sorted(pairs)
 
 
 class TestNumpyBackendBasics:
@@ -36,3 +57,146 @@ class TestNumpyBackendBasics:
                 lo, hi = _backend.sq_distance_order_stats(d2, k1, k2)
                 assert lo == pool[k1]
                 assert hi == pool[k2]
+
+
+class TestBlockedDistances:
+    @pytest.mark.parametrize(
+        "m", [2, 5, TILE - 1, TILE + 1, ONE_CALL_M, ONE_CALL_M + 1, 700, 1001]
+    )
+    def test_exactly_symmetric_zero_diagonal(self, rng, m):
+        x = rng.standard_normal((m, 3)) + 50.0
+        d2 = _backend.pairwise_sq_dists(x)
+        assert np.array_equal(d2, d2.T)
+        assert not np.diagonal(d2).any()
+        assert d2.min() >= 0.0
+        rows = rng.choice(m, size=min(m, 40), replace=False)
+        direct = ((x[rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        assert np.allclose(d2[rows], direct, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [5, TILE + 1, ONE_CALL_M + 1])
+    def test_symmetric_whatever_the_blas_returns(self, rng, monkeypatch, m):
+        # Inner products with bits that differ between (i, j) and (j, i),
+        # as block GEMMs can return at tile edges.
+        matmul, noise = np.matmul, np.random.default_rng(0)
+
+        def asymmetric(a, b, out):
+            matmul(a, b, out=out)
+            out *= 1.0 + 1e-12 * noise.random(out.shape)
+            return out
+
+        monkeypatch.setattr(_backend.np, "matmul", asymmetric)
+        d2 = _backend.pairwise_sq_dists(rng.standard_normal((m, 3)))
+        assert np.array_equal(d2, d2.T)
+        assert not np.diagonal(d2).any()
+
+    def test_row_permutation_permutes_distances_exactly(self, rng):
+        # Above the one-call size every tile's BLAS call covers whole
+        # register tiles, so no pair's bits depend on where it falls.
+        x = rng.standard_normal((700, 2))
+        perm = rng.permutation(700)
+        a = _backend.pairwise_sq_dists(x)
+        b = _backend.pairwise_sq_dists(x[perm])
+        assert np.array_equal(a[np.ix_(perm, perm)], b)
+
+    def test_row_permutation_keeps_bandwidths_bitwise(self, rng):
+        m = 700
+        t = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        j = align(
+            Sample(np.column_stack([t, np.sin(t)]) + 0.3 * rng.standard_normal((m, 2))),
+            Sample(np.column_stack([np.cos(t), t]) + 0.5 * rng.standard_normal((m, 2))),
+            Sample(rng.standard_normal((m, 3))),
+        )
+        perm = rng.permutation(m)
+        shuffled = align(j.x.rows(perm), j.y.rows(perm), j.z.rows(perm))
+        a, b = dependent_test(j), dependent_test(shuffled)
+        assert b.kernel_info == a.kernel_info
+
+    def test_gaussian_row_sums_are_the_plain_sums(self, rng):
+        for m in (TILE + 1, 700):
+            g = build_zero_diag_gram(Sample(rng.standard_normal((m, 2))), KernelSpec())
+            assert np.array_equal(g.row_sums, g.values.sum(axis=1))
+
+
+class TestExactSelection:
+    """Bracketed selection must equal the sorted packed pool exactly."""
+
+    def check(self, d2):
+        pool = sorted_pool(d2)
+        for k1, k2 in rank_pairs(pool.size):
+            want = (pool[k1], pool[k2])
+            assert _backend.sq_distance_order_stats(d2, k1, k2) == want
+            bracket = _backend._sample_bracket(d2, k1, k2)
+            assert _backend._select_in_bracket(d2, k1, k2, *bracket) == want
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    def test_sizes_around_the_tile(self, rng, m):
+        self.check(_backend.pairwise_sq_dists(rng.standard_normal((m, 2))))
+
+    def test_pool_mostly_zeros(self, rng):
+        # 100 identical rows: 4950 of the 7140 pairs are at distance 0.
+        x = np.vstack([np.ones((100, 2)), rng.standard_normal((20, 2))])
+        d2 = _backend.pairwise_sq_dists(x)
+        pool = sorted_pool(d2)
+        assert np.count_nonzero(pool == 0.0) > pool.size // 2
+        self.check(d2)
+        zeros = np.count_nonzero(pool == 0.0)
+        assert _backend.sq_distance_order_stats(d2, zeros - 1, zeros) == (0.0, pool[zeros])
+
+    def test_ties_on_both_bracket_edges(self, rng):
+        # Integer points: squared distances are small integers with many ties.
+        d2 = _backend.pairwise_sq_dists(rng.integers(0, 6, size=(150, 2)).astype(float))
+        pool = sorted_pool(d2)
+        k1, k2 = pool.size // 2 - 1, pool.size // 2
+        brackets = [(pool[k1], pool[k2]), (pool[k1], pool[k1]), (pool[k1 - 500], pool[k2 + 500])]
+        for lo, hi in brackets:
+            assert pool[np.searchsorted(pool, lo) + 1] == lo  # lo is tied
+            assert pool[np.searchsorted(pool, hi, side="right") - 2] == hi  # so is hi
+            assert _backend._select_in_bracket(d2, k1, k2, lo, hi) == (pool[k1], pool[k2])
+
+    def test_bracket_miss_falls_back_to_packed_pool(self, rng, monkeypatch):
+        d2 = _backend.pairwise_sq_dists(rng.standard_normal((200, 2)))
+        pool = sorted_pool(d2)
+        k1, k2 = pool.size // 2 - 1, pool.size // 2
+        miss = (pool[k2 + 10], pool[k2 + 20])
+        assert _backend._select_in_bracket(d2, k1, k2, *miss) is None
+        packed_calls = []
+        packed = _backend._select_packed
+
+        def spy(*args):
+            packed_calls.append(args[1:])
+            return packed(*args)
+
+        monkeypatch.setattr(_backend, "_sample_bracket", lambda *args: miss)
+        monkeypatch.setattr(_backend, "_select_packed", spy)
+        assert _backend.sq_distance_order_stats(d2, k1, k2) == (pool[k1], pool[k2])
+        assert packed_calls == [(k1, k2)]
+
+
+class TestMemoryGuard:
+    """m x m allocations that cannot fit in physical memory fail up front."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return Sample(np.zeros((2_000_000, 1)))  # one Gram would take 32 TB
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec(), KernelSpec(bandwidth=1.0), KernelSpec(family="linear")]
+    )
+    def test_gram_raises_before_allocating(self, big, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="bytes"):
+                build_zero_diag_gram(big, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_message_counts_every_gram_held(self, big):
+        need = "3 m x m matrices at m = 2000000 need 96000000000000 bytes"
+        with pytest.raises(PreconditionError, match=need):
+            dependent_test(align(big, big, big))
+
+    def test_median_heuristic_guarded(self, big):
+        with pytest.raises(PreconditionError):
+            median_heuristic(big)
