@@ -198,10 +198,9 @@ def cmd_test(args) -> int:
         for a, b in pairs:
             if not (0 <= a < len(samples) and 0 <= b < len(samples)):
                 raise CliError(f"pair {a}-{b} indexes outside the input files")
-        summary, info = joint_summary(samples, pairs, config, with_info=True)
+        summary = joint_summary(samples, pairs, config)
         result = generalized_test(summary, weights, alpha=args.alpha)
         payload = result.to_dict()
-        payload["kernel"] = info
         payload["pairs"] = [f"{a}-{b}" for a, b in pairs]
         payload["weights"] = weights
     else:
@@ -252,10 +251,22 @@ def _base_config(args, gamma3: float | None = None) -> synthbench.SynthConfig:
     )
 
 
-def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or ".")
+def _write_experiment(args, stem: str, rows, fields, summary: dict) -> int:
+    """Write ``<stem>.csv`` (rows) and ``<stem>.json`` (summary) and print it.
+
+    The files go to ``--out`` (default: the current directory); the JSON
+    summary gains the CSV's path as its last key.
+    """
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    csv_path = out / f"{stem}.csv"
+    synthbench.write_rows_csv(csv_path, rows, fields)
+    summary["csv"] = str(csv_path)
+    (out / f"{stem}.json").write_text(
+        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    )
+    print(json.dumps(summary))
+    return EXIT_OK
 
 
 def cmd_power(args) -> int:
@@ -265,13 +276,6 @@ def cmd_power(args) -> int:
     table = synthbench.power_curve(
         grid, base, trials=args.trials, alpha=args.alpha, jobs=args.jobs
     )
-    stem = synthbench.output_basename("power", args.m, base.seed)
-    csv_path = _out_dir(args) / f"{stem}.csv"
-    synthbench.write_rows_csv(
-        csv_path,
-        table.rows,
-        ["gamma3", "power_dependent", "power_independent", "trials", "alpha", "m"],
-    )
     summary = {
         "experiment": "power",
         "m": args.m,
@@ -279,13 +283,14 @@ def cmd_power(args) -> int:
         "trials": args.trials,
         "alpha": args.alpha,
         "rows": len(table.rows),
-        "csv": str(csv_path),
     }
-    (_out_dir(args) / f"{stem}.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    return _write_experiment(
+        args,
+        synthbench.output_basename("power", args.m, base.seed),
+        table.rows,
+        ["gamma3", "power_dependent", "power_independent", "trials", "alpha", "m"],
+        summary,
     )
-    print(json.dumps(summary))
-    return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
@@ -294,13 +299,8 @@ def cmd_calibrate(args) -> int:
     rate = synthbench.calibration(
         base, trials=args.trials, alpha=args.alpha, jobs=args.jobs
     )
-    stem = synthbench.output_basename("calibrate", args.m, base.seed)
     row = argparse.Namespace(
         m=args.m, trials=args.trials, alpha=args.alpha, rejection_rate=rate
-    )
-    csv_path = _out_dir(args) / f"{stem}.csv"
-    synthbench.write_rows_csv(
-        csv_path, [row], ["m", "trials", "alpha", "rejection_rate"]
     )
     summary = {
         "experiment": "calibrate",
@@ -309,13 +309,14 @@ def cmd_calibrate(args) -> int:
         "trials": args.trials,
         "alpha": args.alpha,
         "rejection_rate": rate,
-        "csv": str(csv_path),
     }
-    (_out_dir(args) / f"{stem}.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    return _write_experiment(
+        args,
+        synthbench.output_basename("calibrate", args.m, base.seed),
+        [row],
+        ["m", "trials", "alpha", "rejection_rate"],
+        summary,
     )
-    print(json.dumps(summary))
-    return EXIT_OK
 
 
 def cmd_scatter(args) -> int:
@@ -324,38 +325,22 @@ def cmd_scatter(args) -> int:
     records = synthbench.scatter_experiment(
         cfg, trials=args.trials, alpha=args.alpha, jobs=args.jobs
     )
-    stem = synthbench.output_basename("scatter", args.m, cfg.seed)
-    csv_path = _out_dir(args) / f"{stem}.csv"
-    synthbench.write_rows_csv(
-        csv_path,
-        records,
-        [
-            "trial",
-            "hsic_xy",
-            "hsic_xz",
-            "hsic_xy_half",
-            "hsic_xz_half",
-            "p_dep",
-            "p_indep",
-        ],
-    )
-    p_dep = float(np.median([r.p_dep for r in records]))
-    p_indep = float(np.median([r.p_indep for r in records]))
     summary = {
         "experiment": "scatter",
         "m": args.m,
         "seed": cfg.seed,
         "gamma3": args.gamma3,
         "trials": args.trials,
-        "median_p_dep": p_dep,
-        "median_p_indep": p_indep,
-        "csv": str(csv_path),
+        "median_p_dep": float(np.median([r.p_dep for r in records])),
+        "median_p_indep": float(np.median([r.p_indep for r in records])),
     }
-    (_out_dir(args) / f"{stem}.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    return _write_experiment(
+        args,
+        synthbench.output_basename("scatter", args.m, cfg.seed),
+        records,
+        ["trial", "hsic_xy", "hsic_xz", "hsic_xy_half", "hsic_xz_half", "p_dep", "p_indep"],
+        summary,
     )
-    print(json.dumps(summary))
-    return EXIT_OK
 
 
 def cmd_converge(args) -> int:
@@ -370,26 +355,23 @@ def cmd_converge(args) -> int:
     points = synthbench.convergence_diagnostic(
         grid, cfg, trials=args.trials, jobs=args.jobs
     )
-    stem = synthbench.output_basename("converge", max(grid), cfg.seed)
-    csv_path = _out_dir(args) / f"{stem}.csv"
-    synthbench.write_rows_csv(csv_path, points, ["m", "median_abs_dev"])
     logs = np.log([p.m for p in points])
     logd = np.log([p.median_abs_dev for p in points])
-    slope = float(np.polyfit(logs, logd, 1)[0])
     summary = {
         "experiment": "converge",
         "m_grid": grid,
         "seed": cfg.seed,
         "gamma3": args.gamma3,
         "trials": args.trials,
-        "loglog_slope": slope,
-        "csv": str(csv_path),
+        "loglog_slope": float(np.polyfit(logs, logd, 1)[0]),
     }
-    (_out_dir(args) / f"{stem}.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    return _write_experiment(
+        args,
+        synthbench.output_basename("converge", max(grid), cfg.seed),
+        points,
+        ["m", "median_abs_dev"],
+        summary,
     )
-    print(json.dumps(summary))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ full sample, estimating their joint Gaussian law including the covariance
 induced by the shared source, and reading a one-sided p-value off the
 projected difference.  The independent test is the baseline that splits
 the sample so the two estimates are independent at the cost of half the
-data.  The generalized test handles any weighted combination of n HSIC
-statistics by rotating the weight vector onto the first axis.
+data.  The generalized test handles any weighted combination v of n HSIC
+statistics by projecting their joint Gaussian onto v, with variance
+v'Cv; the dependent test is its case v = (1, -1).  Every test reads its
+p-value through one ``_verdict`` on (means, covariance, weights).
 
 All p-values take the most conservative null, a zero difference, so the
 reported p is an upper bound over the composite null.
@@ -16,8 +18,8 @@ reported p is an upper bound over the composite null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +31,7 @@ from reldep.hsic import (
     hsic_estimate,
     variance_hsic,
 )
-from reldep.kernels import (
-    GramMatrix,
-    KernelConfig,
-    KernelSpec,
-    build_zero_diag_gram,
-)
+from reldep.kernels import KernelConfig, KernelSpec, build_zero_diag_gram
 
 __all__ = [
     "DEPENDENT",
@@ -71,11 +68,6 @@ def normal_cdf(x: float) -> float:
     relative precision.
     """
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _upper_p(t: float) -> float:
-    """P(N(0,1) > t), kept in the erfc form so tiny tails do not round to 0."""
-    return 0.5 * math.erfc(t / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -118,11 +110,16 @@ class TestResult:
 
 @dataclass(frozen=True)
 class JointGaussianSummary:
-    """Means and covariance of n jointly asymptotically Gaussian HSIC stats."""
+    """Means and covariance of n jointly asymptotically Gaussian HSIC stats.
+
+    ``kernel_info`` holds the resolved kernel of each variable used, keyed
+    by its index as a string.
+    """
 
     means: np.ndarray
     covariance: np.ndarray
     m: int
+    kernel_info: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         means = np.ascontiguousarray(self.means, dtype=np.float64)
@@ -210,21 +207,29 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _verdict(
-    statistic: float,
-    var: float,
+    means: Sequence[float],
+    cov: np.ndarray,
+    v: Sequence[float],
     alpha: float,
     method: str,
     m: int,
     m_effective: int,
     kernel_info: dict | None = None,
 ) -> TestResult:
-    """One-sided verdict on a statistic with this (unfloored) variance.
+    """One-sided verdict on the projection v'means of a joint Gaussian.
 
-    ``m_effective`` is the size each estimate saw, which decides the
-    small-sample warning (half of m for the split test).
+    Its variance v'Cv is summed as the diagonal terms v_a^2 C_aa first,
+    then twice the cross terms v_a v_b C_ab (a < b); for v = (1, -1) that
+    is C_00 + C_11 - 2 C_01 to the bit.  ``m_effective`` is the size each
+    estimate saw, which decides the small-sample warning (half of m for the
+    split test).
     """
-    std = math.sqrt(max(var, VARIANCE_FLOOR))
-    p = _upper_p(statistic / std)
+    v = np.asarray(v, dtype=np.float64)
+    upper = np.triu_indices(v.shape[0], 1)
+    var = (v * v) @ np.diagonal(cov) + 2.0 * (np.outer(v, v)[upper] @ cov[upper])
+    statistic = float(v @ np.asarray(means, dtype=np.float64))
+    std = math.sqrt(max(float(var), VARIANCE_FLOOR))
+    p = normal_cdf(-statistic / std)
     return TestResult(
         statistic=statistic,
         std_dev=std,
@@ -238,53 +243,8 @@ def _verdict(
     )
 
 
-def _pair_estimates(
-    samples: Sequence[Sample],
-    pairs: Sequence[tuple[int, int]],
-    spec_for: Callable[[int], KernelSpec],
-) -> tuple[list[HsicEstimate], dict[int, GramMatrix]]:
-    """HSIC estimate per (source, target) pair, one Gram build per variable.
-
-    Returns the estimates in pair order and the Gram matrices by index.
-    """
-    grams: dict[int, GramMatrix] = {}
-    held = len({i for pair in pairs for i in pair})
-
-    def gram(i: int) -> GramMatrix:
-        if i not in grams:
-            if not 0 <= i < len(samples):
-                raise ValueError(f"pair index {i} out of range")
-            grams[i] = build_zero_diag_gram(samples[i], spec_for(i), held=held)
-        return grams[i]
-
-    estimates = [hsic_estimate(gram(a), gram(b), f"{a}-{b}") for a, b in pairs]
-    return estimates, grams
-
-
-def _dependent(
-    j: JointSample, kernel_config: KernelConfig | None, alpha: float
-) -> tuple[TestResult, list[HsicEstimate]]:
-    """``dependent_test`` plus the (XY, XZ) estimates it was read from."""
-    _check_alpha(alpha)
-    if j.z is None:
-        raise PreconditionError("relative test needs all three variables x, y, z")
-    cfg = kernel_config or KernelConfig()
-    estimates, grams = _pair_estimates([j.x, j.y, j.z], ((0, 1), (0, 2)), cfg.spec_for)
-    e_xy, e_xz = estimates
-    cov = covariance_summary(estimates)
-    info = {name: grams[i].descriptor() for i, name in enumerate("xyz")}
-    # var_xy + var_xz - 2 cov in this order; v'Cv or the rotation of
-    # generalized_test give the same value with different last bits.
-    result = _verdict(
-        e_xy.value - e_xz.value,
-        cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1],
-        alpha,
-        DEPENDENT,
-        j.m,
-        j.m,
-        info,
-    )
-    return result, estimates
+# The dependent and split tests' statistic HSIC(x, y) - HSIC(x, z).
+_DIFFERENCE = (1.0, -1.0)
 
 
 def dependent_test(
@@ -295,9 +255,18 @@ def dependent_test(
     """Test H0: dependence(x, y) <= dependence(x, z) on the full sample.
 
     The statistic is the difference of the two unbiased HSIC estimates; its
-    variance accounts for their correlation through the shared source.
+    variance accounts for their correlation through the shared source.  It
+    is the generalized test with weights (1, -1) over the (x, y), (x, z)
+    summary.
     """
-    return _dependent(j, kernel_config, alpha)[0]
+    _check_alpha(alpha)
+    if j.z is None:
+        raise PreconditionError("relative test needs all three variables x, y, z")
+    summary = joint_summary(j, ((0, 1), (0, 2)), kernel_config)
+    info = dict(zip("xyz", summary.kernel_info.values()))
+    return _verdict(
+        summary.means, summary.covariance, _DIFFERENCE, alpha, DEPENDENT, j.m, j.m, info
+    )
 
 
 def _independent(
@@ -328,8 +297,9 @@ def _independent(
         "z": gz.descriptor(),
     }
     result = _verdict(
-        e_xy.value - e_xz.value,
-        variance_hsic(e_xy) + variance_hsic(e_xz),
+        (e_xy.value, e_xz.value),
+        np.diag([variance_hsic(e_xy), variance_hsic(e_xz)]),
+        _DIFFERENCE,
         alpha,
         INDEPENDENT,
         j.m,
@@ -354,17 +324,15 @@ def joint_summary(
     samples: JointSample | Sequence[Sample],
     pairs: Sequence[tuple[int, int]],
     kernel_specs: Sequence[KernelSpec] | KernelConfig | None = None,
-    *,
-    with_info: bool = False,
-):
+) -> JointGaussianSummary:
     """Joint Gaussian summary of the HSIC statistics for several pairs.
 
     ``samples`` is either a JointSample (indices 0, 1, 2 for x, y, z) or a
     list of aligned samples; ``pairs`` lists (source, target) index pairs.
     A list of kernel specs needs one spec per sample.  Gram matrices are
     built once per variable and shared; the covariance is
-    ``covariance_summary`` of the estimates.  With ``with_info`` the
-    resolved kernel descriptors are returned alongside the summary.
+    ``covariance_summary`` of the estimates, and ``kernel_info`` the
+    resolved kernel of each variable used.
     """
     if isinstance(samples, JointSample):
         sample_list = [samples.x, samples.y]
@@ -392,16 +360,20 @@ def joint_summary(
             )
         spec_for = specs.__getitem__
 
-    estimates, grams = _pair_estimates(sample_list, pairs, spec_for)
-    summary = JointGaussianSummary(
+    used = sorted({i for pair in pairs for i in pair})
+    for i in used:
+        if not 0 <= i < len(sample_list):
+            raise ValueError(f"pair index {i} out of range")
+    grams = {
+        i: build_zero_diag_gram(sample_list[i], spec_for(i), held=len(used)) for i in used
+    }
+    estimates = [hsic_estimate(grams[a], grams[b], f"{a}-{b}") for a, b in pairs]
+    return JointGaussianSummary(
         means=np.array([e.value for e in estimates]),
         covariance=covariance_summary(estimates),
         m=sample_list[0].m,
+        kernel_info={str(i): grams[i].descriptor() for i in used},
     )
-    if with_info:
-        info = {str(i): grams[i].descriptor() for i in sorted(grams)}
-        return summary, info
-    return summary
 
 
 def generalized_test(
@@ -411,9 +383,11 @@ def generalized_test(
 ) -> TestResult:
     """Test H0: weighted sum of the population dependencies <= 0.
 
-    Rotates the weight vector onto the first axis and projects the joint
-    Gaussian onto it; with weights (1, -1) over the two-statistic summary
-    this reduces exactly to the dependent test.
+    Projects the joint Gaussian onto the weight vector: the statistic is
+    v'means and its variance v'Cv, which equals the paper's rotated form
+    (QCQ')_00 ||v||^2 with Q = ``rotation_matrix(v)``.  With weights
+    (1, -1) over the two-statistic summary this is the dependent test, to
+    the bit.
     """
     _check_alpha(alpha)
     v = np.ascontiguousarray(v, dtype=np.float64)
@@ -422,10 +396,17 @@ def generalized_test(
             f"weight length {v.shape[0] if v.ndim == 1 else v.shape} does not "
             f"match {summary.n} statistics"
         )
-    rot = rotation_matrix(v)  # also rejects zero and non-finite weights
-    norm_sq = float(v @ v)
-    statistic = float(v @ summary.means)
-    projected = float((rot.q @ summary.covariance @ rot.q.T)[0, 0])
+    if not np.isfinite(v).all():
+        raise ValueError("weight vector must be finite")
+    if not v.any():
+        raise ValueError("weight vector must be nonzero")
     return _verdict(
-        statistic, projected * norm_sq, alpha, GENERALIZED, summary.m, summary.m
+        summary.means,
+        summary.covariance,
+        v,
+        alpha,
+        GENERALIZED,
+        summary.m,
+        summary.m,
+        summary.kernel_info,
     )

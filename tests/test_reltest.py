@@ -200,6 +200,38 @@ class TestJointSummaryAndGeneralized:
             assert gen.p_value == pytest.approx(dep.p_value, abs=1e-12)
             assert gen.statistic == pytest.approx(dep.statistic, rel=1e-12)
 
+    def test_dependent_is_generalized_with_weights_one_minus_one(self):
+        for m, seed in ((20, 0), (120, 1), (400, 2)):
+            j = synthetic_joint(m=m, seed=seed)
+            dep = dependent_test(j)
+            gen = generalized_test(joint_summary(j, ((0, 1), (0, 2))), (1.0, -1.0))
+            got = (gen.statistic, gen.std_dev, gen.p_value)
+            assert got == (dep.statistic, dep.std_dev, dep.p_value)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_variance_equals_rotated_form(self, rng, n):
+        # The paper's construction: rotate v onto the first axis, read the
+        # (0, 0) entry of the rotated covariance and scale by ||v||^2.
+        for _ in range(20):
+            a = rng.standard_normal((n, n)) * 1e-2
+            summary = JointGaussianSummary(rng.standard_normal(n), a @ a.T, m=200)
+            v = rng.standard_normal(n) * 10.0 ** float(rng.integers(-2, 3))
+            q = rotation_matrix(v).q
+            rotated = float((q @ summary.covariance @ q.T)[0, 0] * (v @ v))
+            res = generalized_test(summary, v)
+            assert res.std_dev**2 == pytest.approx(rotated, rel=1e-12)
+
+    def test_kernel_info_lists_every_variable_used(self, rng):
+        samples = [Sample(rng.standard_normal((30, 2)), f"v{k}") for k in range(4)]
+        specs = [KernelSpec(), KernelSpec(bandwidth=0.7), KernelSpec(), KernelSpec("linear")]
+        summary = joint_summary(samples, [(0, 1), (0, 3)], specs)
+        res = generalized_test(summary, [1.0, -1.0])
+        assert list(res.kernel_info) == ["0", "1", "3"]
+        assert res.kernel_info["1"] == {"family": "gaussian", "bandwidth": 0.7}
+        assert res.kernel_info["3"] == {"family": "linear", "bandwidth": None}
+        assert res.kernel_info["0"]["bandwidth"] > 0
+        assert res.kernel_info == summary.kernel_info
+
     def test_scale_invariance(self):
         summary = joint_summary(synthetic_joint(), [(0, 1), (0, 2)])
         a = generalized_test(summary, [1.0, -1.0])
@@ -285,8 +317,6 @@ class TestJointSummaryAndGeneralized:
 
 class TestPValueMonotonicity:
     def test_p_decreases_in_statistic(self):
-        from reldep.reltest import _upper_p
-
         stats = np.linspace(-3, 8, 40)
-        ps = [_upper_p(s) for s in stats]
+        ps = [normal_cdf(-s) for s in stats]
         assert all(b < a for a, b in zip(ps, ps[1:]))
