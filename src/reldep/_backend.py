@@ -19,10 +19,6 @@ from reldep.dataset import PreconditionError
 # (1.6 MB) stay in a typical per-core L2 cache.
 TILE_ROWS = 64
 
-# A matrix up to this size (512 x 512) takes its inner products from one
-# BLAS call, x @ x.T, instead of one per tile.
-ONE_CALL_BYTES = 1 << 21
-
 def backend_name() -> str:
     """Name of the kernel implementation, recorded in benchmark stamps."""
     return "python"
@@ -94,36 +90,29 @@ def pairwise_sq_dists(x: np.ndarray, held: int = 1) -> np.ndarray:
     The result is written into one ``square_buffer(m, held)``, tile by
     tile: each tile's on/above-diagonal part is formed in cache and then
     mirrored below the diagonal, so the result is exactly symmetric with an
-    exactly zero diagonal whatever the BLAS does at tile edges.  A matrix of
-    at most ``ONE_CALL_BYTES`` takes its inner products from one BLAS call,
-    x @ x.T.  A larger one takes them from one call per tile, on rows padded
-    with zeros to a multiple of 8, so every call covers whole BLAS register
-    tiles and each pair's inner product has the same bits wherever the pair
-    falls: permuting the rows then permutes the result exactly.
+    exactly zero diagonal whatever the BLAS does at tile edges.  Each tile
+    takes its inner products from one BLAS call on rows padded with zeros
+    to a multiple of 8, at every m, so every call covers whole BLAS
+    register tiles and each pair's inner product has the same bits wherever
+    the pair falls: permuting the rows then permutes the result exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
     out = square_buffer(m, held)
     x = x - 0.5 * (x.min(axis=0) + x.max(axis=0))
     sq = np.einsum("ij,ij->i", x, x)
-    one_call = 8 * m * m <= ONE_CALL_BYTES
-    if one_call:
-        np.matmul(x, x.T, out=out)
-    else:
-        x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
-    work = np.empty(min(m, TILE_ROWS) * x.shape[0])
+    x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
+    padded_m = x.shape[0]
+    work = np.empty(min(padded_m, TILE_ROWS) * padded_m)
     for t0, t1 in _tiles(m):
         blk = out[t0:t1, t0:]
-        if one_call:
-            inner, norms = blk, work[: blk.size].reshape(blk.shape)
-        else:
-            rows = min(TILE_ROWS, x.shape[0] - t0)
-            padded = work[: rows * (x.shape[0] - t0)].reshape(rows, -1)
-            np.matmul(x[t0 : t0 + rows], x[t0:].T, out=padded)
-            inner, norms = padded[: t1 - t0, : m - t0], blk
-        np.add(sq[t0:t1, None], sq[None, t0:], out=norms)
+        rows = min(TILE_ROWS, padded_m - t0)
+        inner = work[: rows * (padded_m - t0)].reshape(rows, -1)
+        np.matmul(x[t0 : t0 + rows], x[t0:].T, out=inner)
+        inner = inner[: t1 - t0, : m - t0]
+        np.add(sq[t0:t1, None], sq[None, t0:], out=blk)
         inner *= 2.0
-        np.subtract(norms, inner, out=blk)
+        np.subtract(blk, inner, out=blk)
         np.maximum(blk, 0.0, out=blk)
         _zero_diagonal(out, t0, t1)
         _mirror_rows(out, t0, t1)

@@ -12,8 +12,8 @@ from reldep.kernels import KernelSpec, build_zero_diag_gram, median_heuristic
 from reldep.reltest import dependent_test
 
 TILE = _backend.TILE_ROWS
-# Largest m whose inner products come from one BLAS call.
-ONE_CALL_M = int((_backend.ONE_CALL_BYTES // 8) ** 0.5)
+# Largest m whose inner products once came from a single x @ x.T call.
+ONE_CALL_M = 512
 
 
 def test_backend_name_is_constant():
@@ -90,13 +90,24 @@ class TestBlockedDistances:
         assert not np.diagonal(d2).any()
 
     def test_row_permutation_permutes_distances_exactly(self, rng):
-        # Above the one-call size every tile's BLAS call covers whole
-        # register tiles, so no pair's bits depend on where it falls.
+        # Every tile's BLAS call covers whole register tiles, so no pair's
+        # bits depend on where it falls.
         x = rng.standard_normal((700, 2))
         perm = rng.permutation(700)
         a = _backend.pairwise_sq_dists(x)
         b = _backend.pairwise_sq_dists(x[perm])
         assert np.array_equal(a[np.ix_(perm, perm)], b)
+
+    @pytest.mark.parametrize("m, seed", [(20, 13), (500, 200)])
+    def test_row_permutation_exact_at_small_m(self, m, seed):
+        # Inputs on which one unpadded x @ x.T call gave permuted rows
+        # other bits, enough to move the median bandwidth's last bit.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, 2))
+        perm = rng.permutation(m)
+        a, b = _backend.pairwise_sq_dists(x), _backend.pairwise_sq_dists(x[perm])
+        assert np.array_equal(a[np.ix_(perm, perm)], b)
+        assert median_heuristic(Sample(x)) == median_heuristic(Sample(x[perm]))
 
     def test_row_permutation_keeps_bandwidths_bitwise(self, rng):
         m = 700
