@@ -85,7 +85,8 @@ def pairwise_sq_dists(x: np.ndarray, held: int = 1) -> np.ndarray:
     clipped at zero to kill the tiny negatives the cancellation can produce.
     Without the centring the expansion cancels catastrophically on data far
     from the origin.  The midrange, unlike the mean, does not depend on the
-    row order.
+    row order.  A centred squared norm above a quarter of the largest
+    float64 could overflow the expansion, so it raises PreconditionError.
 
     The result is written into one ``square_buffer(m, held)``, tile by
     tile: each tile's on/above-diagonal part is formed in cache and then
@@ -101,6 +102,12 @@ def pairwise_sq_dists(x: np.ndarray, held: int = 1) -> np.ndarray:
     out = square_buffer(m, held)
     x = x - 0.5 * (x.min(axis=0) + x.max(axis=0))
     sq = np.einsum("ij,ij->i", x, x)
+    limit = np.finfo(np.float64).max / 4
+    if not sq.max(initial=0.0) <= limit:
+        raise PreconditionError(
+            f"data too large for squared distances: a centred row has squared"
+            f" norm {sq.max():.3g}, above {limit:.3g}; rescale the input"
+        )
     x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
     padded_m = x.shape[0]
     work = np.empty(min(padded_m, TILE_ROWS) * padded_m)

@@ -183,6 +183,29 @@ class TestExactSelection:
         assert packed_calls == [(k1, k2)]
 
 
+class TestOverflowGuard:
+    """Inputs whose squared norms would overflow the expansion are refused."""
+
+    def huge(self, rng, m=12):
+        x = Sample(np.arange(m, dtype=float)[:, None] * 1e200, "x")
+        return align(x, Sample(rng.standard_normal((m, 2))), Sample(rng.standard_normal((m, 2))))
+
+    def test_dependent_test_raises(self, rng):
+        with pytest.raises(PreconditionError, match="too large for squared distances"):
+            dependent_test(self.huge(rng))
+
+    def test_user_bandwidth_raises_too(self, rng):
+        with pytest.raises(PreconditionError, match="rescale"):
+            build_zero_diag_gram(self.huge(rng).x, KernelSpec(bandwidth=1.0))
+
+    def test_large_representable_inputs_stay_finite(self, rng):
+        j = self.huge(rng)
+        scaled = align(Sample(j.x.data * 1e-50), j.y, j.z)  # up to 1.1e151
+        res = dependent_test(scaled)
+        assert np.isfinite([res.statistic, res.std_dev, res.p_value]).all()
+        assert res.kernel_info["x"]["bandwidth"] == pytest.approx(4.0e150, rel=1e-9)
+
+
 class TestMemoryGuard:
     """m x m allocations that cannot fit in physical memory fail up front."""
 

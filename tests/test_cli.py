@@ -61,6 +61,12 @@ class TestCmdTest:
         assert main(["test", x, x, x]) == 3
         assert "m >= 4" in capsys.readouterr().err
 
+    def test_overflowing_input_exit_3(self, tmp_path, capsys, xyz_files):
+        _, y, z = xyz_files
+        x = write_sample(tmp_path / "big.csv", np.arange(120.0)[:, None] * 1e200)
+        assert main(["test", x, y, z]) == 3
+        assert "too large for squared distances" in capsys.readouterr().err
+
     def test_independent_method(self, capsys, xyz_files):
         x, y, z = xyz_files
         assert main(["test", x, y, z, "--method", "independent"]) == 0
