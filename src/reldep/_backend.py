@@ -102,11 +102,11 @@ def pairwise_sq_dists(x: np.ndarray, held: int = 1) -> np.ndarray:
     out = square_buffer(m, held)
     x = x - 0.5 * (x.min(axis=0) + x.max(axis=0))
     sq = np.einsum("ij,ij->i", x, x)
-    limit = np.finfo(np.float64).max / 4
-    if not sq.max(initial=0.0) <= limit:
+    peak, limit = sq.max(initial=0.0), np.finfo(np.float64).max / 4
+    if not peak <= limit:
         raise PreconditionError(
             f"data too large for squared distances: a centred row has squared"
-            f" norm {sq.max():.3g}, above {limit:.3g}; rescale the input"
+            f" norm {peak:.3g}, above {limit:.3g}; rescale the input"
         )
     x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
     padded_m = x.shape[0]

@@ -289,23 +289,13 @@ def _independent(
     e_xy = hsic_estimate(gx1, gy, "X'Y'")
     e_xz = hsic_estimate(gx2, gz, "X''Z''")
     info = {
-        "x": {
-            "family": cfg.x.family,
-            "bandwidth": [gx1.bandwidth, gx2.bandwidth],
-        },
+        "x": {"family": cfg.x.family, "bandwidth": [gx1.bandwidth, gx2.bandwidth]},
         "y": gy.descriptor(),
         "z": gz.descriptor(),
     }
-    result = _verdict(
-        (e_xy.value, e_xz.value),
-        np.diag([variance_hsic(e_xy), variance_hsic(e_xz)]),
-        _DIFFERENCE,
-        alpha,
-        INDEPENDENT,
-        j.m,
-        j.m // 2,
-        info,
-    )
+    cov = np.diag([variance_hsic(e_xy), variance_hsic(e_xz)])  # the halves share nothing
+    means = (e_xy.value, e_xz.value)
+    result = _verdict(means, cov, _DIFFERENCE, alpha, INDEPENDENT, j.m, j.m // 2, info)
     return result, [e_xy, e_xz]
 
 
