@@ -350,19 +350,22 @@ def joint_summary(
             )
         spec_for = specs.__getitem__
 
-    used = sorted({i for pair in pairs for i in pair})
-    for i in used:
-        if not 0 <= i < len(sample_list):
-            raise ValueError(f"pair index {i} out of range")
-    grams = {
-        i: build_zero_diag_gram(sample_list[i], spec_for(i), held=len(used)) for i in used
-    }
-    estimates = [hsic_estimate(grams[a], grams[b], f"{a}-{b}") for a, b in pairs]
+    # Each Gram is built just before its first estimate, which then reads
+    # it while it is still warm in cache.
+    held = len({i for pair in pairs for i in pair})
+    grams, estimates = {}, []
+    for a, b in pairs:
+        for i in (a, b):
+            if i not in grams:
+                if not 0 <= i < len(sample_list):
+                    raise ValueError(f"pair index {i} out of range")
+                grams[i] = build_zero_diag_gram(sample_list[i], spec_for(i), held=held)
+        estimates.append(hsic_estimate(grams[a], grams[b], f"{a}-{b}"))
     return JointGaussianSummary(
         means=np.array([e.value for e in estimates]),
         covariance=covariance_summary(estimates),
         m=sample_list[0].m,
-        kernel_info={str(i): grams[i].descriptor() for i in used},
+        kernel_info={str(i): grams[i].descriptor() for i in sorted(grams)},
     )
 
 
