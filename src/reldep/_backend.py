@@ -1,10 +1,11 @@
 """NumPy implementations of the O(m^2) hot kernels.
 
-Distances, distance order statistics, the in-place Gaussian map and the
-HSIC row reductions.  Every m x m matrix is allocated by ``square_buffer``,
-which refuses sizes that cannot fit in physical memory, and is then
-filled, scanned or rewritten in tiles of ``TILE_ROWS`` rows, so each
-tile's temporaries stay in cache and no full-size temporary is made.
+Distances, the linear Gram, distance order statistics, the in-place
+Gaussian map and the HSIC row reductions.  Every m x m matrix is allocated
+by ``square_buffer``, which refuses sizes that cannot fit in physical
+memory, and is then filled (by the one stripe walker ``_upper_stripes``),
+scanned or rewritten in tiles of ``TILE_ROWS`` rows, so each tile's
+temporaries stay in cache and no full-size temporary is made.
 """
 
 import os
@@ -55,11 +56,9 @@ def _tiles(m: int):
 
 
 @lru_cache(maxsize=16)
-def _triangle(h: int, upper: bool) -> np.ndarray:
-    """Read-only h x h mask of the strict upper (or lower) triangle."""
+def _triangle(h: int) -> np.ndarray:
+    """Read-only h x h mask of the strict lower triangle."""
     mask = np.tri(h, h, -1, dtype=bool)
-    if upper:
-        mask = mask.T.copy()
     mask.setflags(write=False)
     return mask
 
@@ -73,8 +72,33 @@ def _zero_diagonal(a: np.ndarray, r0: int, r1: int) -> None:
 def _mirror_rows(a: np.ndarray, r0: int, r1: int) -> None:
     """Copy the on/above-diagonal part of rows r0:r1 below the diagonal."""
     tile = a[r0:r1, r0:r1]
-    np.copyto(tile, tile.T, where=_triangle(r1 - r0, upper=False))
+    np.copyto(tile, tile.T, where=_triangle(r1 - r0))
     a[r1:, r0:r1] = a[r0:r1, r1:].T
+
+
+def _upper_stripes(x: np.ndarray, out: np.ndarray):
+    """Fill the square ``out`` from the rows of ``x`` (m, d), stripe by stripe.
+
+    Yields ``(t0, t1, blk, inner)``: the caller writes ``blk``, the
+    on/above-diagonal part ``out[t0:t1, t0:]``, from ``inner``, the rows'
+    inner products over the same columns.  These come from one BLAS call on
+    rows zero-padded to a multiple of 8, at every m, so every call covers
+    whole BLAS register tiles and each pair's bits do not depend on where
+    it falls.  The walker then zeroes the diagonal and mirrors the stripe
+    below it, so ``out`` is exactly symmetric whatever the BLAS does at
+    tile edges.
+    """
+    m = x.shape[0]
+    x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
+    padded_m = x.shape[0]
+    work = np.empty(min(padded_m, TILE_ROWS) * padded_m)
+    for t0, t1 in _tiles(m):
+        rows = min(TILE_ROWS, padded_m - t0)
+        inner = work[: rows * (padded_m - t0)].reshape(rows, -1)
+        np.matmul(x[t0 : t0 + rows], x[t0:].T, out=inner)
+        yield t0, t1, out[t0:t1, t0:], inner[: t1 - t0, : m - t0]
+        _zero_diagonal(out, t0, t1)
+        _mirror_rows(out, t0, t1)
 
 
 def pairwise_sq_dists(x: np.ndarray, held: int = 1) -> np.ndarray:
@@ -88,14 +112,9 @@ def pairwise_sq_dists(x: np.ndarray, held: int = 1) -> np.ndarray:
     row order.  A centred squared norm above a quarter of the largest
     float64 could overflow the expansion, so it raises PreconditionError.
 
-    The result is written into one ``square_buffer(m, held)``, tile by
-    tile: each tile's on/above-diagonal part is formed in cache and then
-    mirrored below the diagonal, so the result is exactly symmetric with an
-    exactly zero diagonal whatever the BLAS does at tile edges.  Each tile
-    takes its inner products from one BLAS call on rows padded with zeros
-    to a multiple of 8, at every m, so every call covers whole BLAS
-    register tiles and each pair's inner product has the same bits wherever
-    the pair falls: permuting the rows then permutes the result exactly.
+    The result fills one ``square_buffer(m, held)`` through
+    ``_upper_stripes``: exactly symmetric, zero on the diagonal, and
+    permuted exactly when the rows are.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
@@ -108,21 +127,20 @@ def pairwise_sq_dists(x: np.ndarray, held: int = 1) -> np.ndarray:
             f"data too large for squared distances: a centred row has squared"
             f" norm {peak:.3g}, above {limit:.3g}; rescale the input"
         )
-    x = np.concatenate([x, np.zeros((-m % 8, x.shape[1]))])
-    padded_m = x.shape[0]
-    work = np.empty(min(padded_m, TILE_ROWS) * padded_m)
-    for t0, t1 in _tiles(m):
-        blk = out[t0:t1, t0:]
-        rows = min(TILE_ROWS, padded_m - t0)
-        inner = work[: rows * (padded_m - t0)].reshape(rows, -1)
-        np.matmul(x[t0 : t0 + rows], x[t0:].T, out=inner)
-        inner = inner[: t1 - t0, : m - t0]
+    for t0, t1, blk, inner in _upper_stripes(x, out):
         np.add(sq[t0:t1, None], sq[None, t0:], out=blk)
         inner *= 2.0
         np.subtract(blk, inner, out=blk)
         np.maximum(blk, 0.0, out=blk)
-        _zero_diagonal(out, t0, t1)
-        _mirror_rows(out, t0, t1)
+    return out
+
+
+def linear_gram(x: np.ndarray, held: int = 1) -> np.ndarray:
+    """Zero-diagonal linear Gram <a, b> of the rows of ``x``, by ``_upper_stripes``."""
+    x = np.asarray(x, dtype=np.float64)
+    out = square_buffer(x.shape[0], held)
+    for _, _, blk, inner in _upper_stripes(x, out):
+        np.copyto(blk, inner)
     return out
 
 
@@ -134,11 +152,11 @@ def sq_distance_order_stats(d2: np.ndarray, k1: int, k2: int):
     brackets both ranks (Floyd & Rivest 1975, "Expected time bounds for
     selection").  One tiled pass over the triangle then counts the pairs
     below the bracket and collects those inside it, and only those are
-    partitioned.  When the bracket misses a rank, the whole packed pool is
-    partitioned instead, so the result is exact either way.
+    partitioned.  A bracket that misses a rank reruns the pass unbounded,
+    over the whole pool, so the result is exact either way.
     """
     found = _select_in_bracket(d2, k1, k2, *_sample_bracket(d2, k1, k2))
-    return _select_packed(d2, k1, k2) if found is None else found
+    return _select_in_bracket(d2, k1, k2, -np.inf, np.inf) if found is None else found
 
 
 @lru_cache(maxsize=4)
@@ -182,7 +200,7 @@ def _select_in_bracket(d2: np.ndarray, k1: int, k2: int, lo: float, hi: float):
     below = 0
     inside = []
     for t0, t1 in _tiles(m):
-        tri = d2[t0:t1, t0:t1][_triangle(t1 - t0, upper=True)]
+        tri = d2[t0:t1, t0:t1][_triangle(t1 - t0)]  # the tile is exactly symmetric
         for v in (tri, d2[t0:t1, t1:]):
             low = v < lo
             below += np.count_nonzero(low)
@@ -194,23 +212,6 @@ def _select_in_bracket(d2: np.ndarray, k1: int, k2: int, lo: float, hi: float):
         return None
     pool.partition(sorted({k1 - below, k2 - below}))
     return float(pool[k1 - below]), float(pool[k2 - below])
-
-
-def _select_packed(d2: np.ndarray, k1: int, k2: int):
-    """Pool order statistics from the whole strict upper triangle.
-
-    It is packed row by row into one m(m-1)/2 buffer, so each pair appears
-    once and the diagonal not at all, and partitioned in place.
-    """
-    m = d2.shape[0]
-    pool = np.empty(m * (m - 1) // 2, dtype=np.float64)
-    pos = 0
-    for i in range(m - 1):
-        n = m - 1 - i
-        pool[pos : pos + n] = d2[i, i + 1 :]
-        pos += n
-    pool.partition(sorted({k1, k2}))
-    return float(pool[k1]), float(pool[k2])
 
 
 def gaussian_map(d2: np.ndarray, sigma: float) -> np.ndarray:

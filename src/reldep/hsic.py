@@ -91,7 +91,7 @@ def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicE
     """Unbiased HSIC value together with its h-vector, in one O(m^2) pass.
 
     Unbiasedness means the value can be negative even though the population
-    quantity is nonnegative.
+    quantity is nonnegative.  Overflow raises PreconditionError.
     """
     m = _check_pair(kt, lt)
     k_row, l_row = kt.row_sums, lt.row_sums
@@ -113,6 +113,8 @@ def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicE
         + sum_k * l_row
         - row_dot
     )
+    if not (np.isfinite(value * value) and np.isfinite(h @ h)):
+        raise PreconditionError(f"HSIC estimate {pair_label} overflows float64; rescale the input")
     return HsicEstimate(value=value, h_vector=h, m=m, pair_label=pair_label)
 
 

@@ -3,11 +3,13 @@
 Two kernel families are supported: the Gaussian kernel
 ``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` with sigma chosen by the
 median heuristic unless overridden, and the plain linear kernel
-``k(a, b) = <a, b>``.  A Gaussian Gram lives in one m x m buffer from
-distances to kernel values: the distances are written into it, the exact
-median is selected from it and the kernel map rewrites it in place.  Gram
-matrices are exactly symmetric and carry their row sums; they are returned
-read-only and can be shared freely across workers.
+``k(a, b) = <a, b>``, both filled from the backend's padded tiles, so
+permuting the rows permutes either Gram exactly.  A Gaussian Gram lives
+in one m x m buffer from distances to kernel values: the distances are
+written into it, the exact median is selected from it and the kernel map
+rewrites it in place.  Gram matrices are exactly symmetric and carry their
+row sums; they are returned read-only and can be shared freely across
+workers.
 """
 
 from __future__ import annotations
@@ -115,23 +117,18 @@ def pairwise_sq_distances(s: Sample) -> np.ndarray:
 def _median_sigma(d2: np.ndarray) -> float:
     """Median pairwise distance given the full squared-distance matrix.
 
-    Selects order statistics on the squared distances (sqrt is monotone,
-    so that is exact) and roots at the end; an even pool averages the two
-    central distances, not the squared ones.  Zero distances from duplicate
-    rows stay in the pool, but a zero median means the scale is degenerate
-    and is an error.
+    Selects the two central order statistics of the squared distances
+    (sqrt is monotone, so that is exact) and averages their roots, not the
+    squares; in an odd pool both are the middle one, and the average is
+    its root to the bit.  Zero distances from duplicate rows stay in the
+    pool, but a zero median means the scale is degenerate and is an error.
     """
     m = d2.shape[0]
     if m < 2:
         raise PreconditionError("median heuristic needs at least 2 observations")
     n_pairs = m * (m - 1) // 2
-    if n_pairs % 2 == 1:
-        mid = (n_pairs - 1) // 2
-        lo, hi = _backend.sq_distance_order_stats(d2, mid, mid)
-        sigma = float(np.sqrt(lo))
-    else:
-        lo, hi = _backend.sq_distance_order_stats(d2, n_pairs // 2 - 1, n_pairs // 2)
-        sigma = float(0.5 * (np.sqrt(lo) + np.sqrt(hi)))
+    lo, hi = _backend.sq_distance_order_stats(d2, (n_pairs - 1) // 2, n_pairs // 2)
+    sigma = float(0.5 * (np.sqrt(lo) + np.sqrt(hi)))
     if sigma <= 0.0:
         raise PreconditionError("degenerate sample: zero median distance")
     return sigma
@@ -156,9 +153,7 @@ def build_zero_diag_gram(s: Sample, spec: KernelSpec, held: int = 1) -> GramMatr
     raised before any is allocated.
     """
     if spec.family == LINEAR:
-        values = _backend.square_buffer(s.m, held)
-        np.matmul(s.data, s.data.T, out=values)
-        np.fill_diagonal(values, 0.0)
+        values = _backend.linear_gram(s.data, held)
         return GramMatrix(values=values, family=LINEAR, bandwidth=None)
     values = _backend.pairwise_sq_dists(s.data, held)
     sigma = _median_sigma(values) if spec.bandwidth is None else spec.bandwidth

@@ -220,15 +220,16 @@ def _verdict(
 
     Its variance v'Cv is summed as the diagonal terms v_a^2 C_aa first,
     then twice the cross terms v_a v_b C_ab (a < b); for v = (1, -1) that
-    is C_00 + C_11 - 2 C_01 to the bit.  ``m_effective`` is the size each
-    estimate saw, which decides the small-sample warning (half of m for the
-    split test).
+    is C_00 + C_11 - 2 C_01 to the bit.  It is floored at VARIANCE_FLOOR
+    times the largest v_a^2, so p does not depend on the scale of v.
+    ``m_effective`` is the size each estimate saw, which decides the
+    small-sample warning (half of m for the split test).
     """
     v = np.asarray(v, dtype=np.float64)
     upper = np.triu_indices(v.shape[0], 1)
     var = (v * v) @ np.diagonal(cov) + 2.0 * (np.outer(v, v)[upper] @ cov[upper])
     statistic = float(v @ np.asarray(means, dtype=np.float64))
-    std = math.sqrt(max(float(var), VARIANCE_FLOOR))
+    std = math.sqrt(max(float(var), VARIANCE_FLOOR * np.max(v * v)))
     p = normal_cdf(-statistic / std)
     return TestResult(
         statistic=statistic,

@@ -8,12 +8,16 @@ import pytest
 import reldep
 from reldep import _backend
 from reldep.dataset import PreconditionError, Sample, align
-from reldep.kernels import KernelSpec, build_zero_diag_gram, median_heuristic
+from reldep.kernels import KernelConfig, KernelSpec, build_zero_diag_gram, median_heuristic
 from reldep.reltest import dependent_test
 
 TILE = _backend.TILE_ROWS
 # Largest m whose inner products once came from a single x @ x.T call.
 ONE_CALL_M = 512
+
+
+# Both fills of the stripe walker: squared distances and the linear Gram.
+FILLS = [_backend.pairwise_sq_dists, _backend.linear_gram]
 
 
 def test_backend_name_is_constant():
@@ -85,29 +89,34 @@ class TestBlockedDistances:
             return out
 
         monkeypatch.setattr(_backend.np, "matmul", asymmetric)
-        d2 = _backend.pairwise_sq_dists(rng.standard_normal((m, 3)))
-        assert np.array_equal(d2, d2.T)
-        assert not np.diagonal(d2).any()
+        x = rng.standard_normal((m, 3))
+        for fill in FILLS:
+            a = fill(x)
+            assert np.array_equal(a, a.T)
+            assert not np.diagonal(a).any()
 
     def test_row_permutation_permutes_distances_exactly(self, rng):
         # Every tile's BLAS call covers whole register tiles, so no pair's
-        # bits depend on where it falls.
+        # bits depend on where it falls, in either fill.
         x = rng.standard_normal((700, 2))
         perm = rng.permutation(700)
-        a = _backend.pairwise_sq_dists(x)
-        b = _backend.pairwise_sq_dists(x[perm])
-        assert np.array_equal(a[np.ix_(perm, perm)], b)
+        for fill in FILLS:
+            assert np.array_equal(fill(x)[np.ix_(perm, perm)], fill(x[perm]))
 
-    @pytest.mark.parametrize("m, seed", [(20, 13), (500, 200)])
+    @pytest.mark.parametrize("m, seed", [(20, 13), (61, 5), (500, 200)])
     def test_row_permutation_exact_at_small_m(self, m, seed):
         # Inputs on which one unpadded x @ x.T call gave permuted rows
-        # other bits, enough to move the median bandwidth's last bit.
+        # other bits, enough to move the median bandwidth's last bit; the
+        # linear Gram once came from such a call too.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, 2))
         perm = rng.permutation(m)
         a, b = _backend.pairwise_sq_dists(x), _backend.pairwise_sq_dists(x[perm])
         assert np.array_equal(a[np.ix_(perm, perm)], b)
         assert median_heuristic(Sample(x)) == median_heuristic(Sample(x[perm]))
+        linear = KernelSpec(family="linear")
+        a, b = (build_zero_diag_gram(Sample(v), linear).values for v in (x, x[perm]))
+        assert np.array_equal(a[np.ix_(perm, perm)], b)
 
     def test_row_permutation_keeps_bandwidths_bitwise(self, rng):
         m = 700
@@ -164,23 +173,23 @@ class TestExactSelection:
             assert pool[np.searchsorted(pool, hi, side="right") - 2] == hi  # so is hi
             assert _backend._select_in_bracket(d2, k1, k2, lo, hi) == (pool[k1], pool[k2])
 
-    def test_bracket_miss_falls_back_to_packed_pool(self, rng, monkeypatch):
+    def test_bracket_miss_reruns_unbounded(self, rng, monkeypatch):
         d2 = _backend.pairwise_sq_dists(rng.standard_normal((200, 2)))
         pool = sorted_pool(d2)
         k1, k2 = pool.size // 2 - 1, pool.size // 2
         miss = (pool[k2 + 10], pool[k2 + 20])
         assert _backend._select_in_bracket(d2, k1, k2, *miss) is None
-        packed_calls = []
-        packed = _backend._select_packed
+        calls = []
+        select = _backend._select_in_bracket
 
         def spy(*args):
-            packed_calls.append(args[1:])
-            return packed(*args)
+            calls.append(args[1:])
+            return select(*args)
 
         monkeypatch.setattr(_backend, "_sample_bracket", lambda *args: miss)
-        monkeypatch.setattr(_backend, "_select_packed", spy)
+        monkeypatch.setattr(_backend, "_select_in_bracket", spy)
         assert _backend.sq_distance_order_stats(d2, k1, k2) == (pool[k1], pool[k2])
-        assert packed_calls == [(k1, k2)]
+        assert calls == [(k1, k2, *miss), (k1, k2, -np.inf, np.inf)]
 
 
 class TestOverflowGuard:
@@ -197,6 +206,15 @@ class TestOverflowGuard:
     def test_user_bandwidth_raises_too(self, rng):
         with pytest.raises(PreconditionError, match="rescale"):
             build_zero_diag_gram(self.huge(rng).x, KernelSpec(bandwidth=1.0))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e100])
+    def test_linear_estimate_overflow_raises(self, rng, scale):
+        # 1e160 overflows the Gram itself, 1e100 only the estimate's square.
+        j = self.huge(rng)
+        big = align(Sample(np.arange(12.0)[:, None] * scale), j.y, j.z)
+        linear = KernelConfig(x=KernelSpec(family="linear"))
+        with pytest.raises(PreconditionError, match="HSIC estimate 0-1 overflows float64"):
+            dependent_test(big, linear)
 
     def test_large_representable_inputs_stay_finite(self, rng):
         j = self.huge(rng)

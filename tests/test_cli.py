@@ -67,6 +67,14 @@ class TestCmdTest:
         assert main(["test", x, y, z]) == 3
         assert "too large for squared distances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e160, 1e100])
+    def test_overflowing_linear_estimate_exit_3(self, tmp_path, capsys, xyz_files, scale):
+        # 1e160 overflows the Gram itself, 1e100 only the estimate's square.
+        _, y, z = xyz_files
+        x = write_sample(tmp_path / "big.csv", np.arange(120.0)[:, None] * scale)
+        assert main(["test", x, y, z, "--kernel-x", "linear"]) == 3
+        assert "HSIC estimate 0-1 overflows float64" in capsys.readouterr().err
+
     def test_independent_method(self, capsys, xyz_files):
         x, y, z = xyz_files
         assert main(["test", x, y, z, "--method", "independent"]) == 0

@@ -78,11 +78,13 @@ class TestMedianHeuristic:
             median_heuristic(Sample(np.array([1.0]), "s"))
 
     def test_matches_naive_median(self, rng):
-        for m in (5, 6, 9, 14, 33):
+        for m in (5, 6, 9, 14, 23, 33):
             s = Sample(rng.standard_normal((m, 3)), "s")
             d2 = pairwise_sq_distances(s)
             naive = float(np.median(np.sqrt(d2[np.triu_indices(m, k=1)])))
             assert median_heuristic(s).sigma == pytest.approx(naive, rel=1e-14)
+            if m * (m - 1) // 2 % 2:  # an odd pool's median is one distance, exactly
+                assert median_heuristic(s).sigma == naive
 
     def test_rigid_motion_invariance(self, rng):
         s = Sample(rng.standard_normal((30, 3)), "s")

@@ -82,7 +82,7 @@ def test_joint_summary_covariance_is_psd(seed, m, pairs):
     seed=seeds,
     m=st.integers(min_value=8, max_value=40),
     weights=st.lists(st.floats(-2.0, 2.0).filter(lambda w: abs(w) > 0.1), min_size=3, max_size=3),
-    c=st.floats(1e-3, 1e4),
+    c=st.floats(1e-6, 1e4),
 )
 def test_weight_scaling_scales_statistic_keeps_p(seed, m, weights, c):
     j = sample_synthetic(SynthConfig(m=m, gamma3=1.0, seed=seed))

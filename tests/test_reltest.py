@@ -233,10 +233,13 @@ class TestJointSummaryAndGeneralized:
         assert res.kernel_info == summary.kernel_info
 
     def test_scale_invariance(self):
+        # At c = 1e-5 a variance floor fixed in absolute terms, not scaled
+        # with the weights, once took over and moved p.
         summary = joint_summary(synthetic_joint(), [(0, 1), (0, 2)])
         a = generalized_test(summary, [1.0, -1.0])
-        b = generalized_test(summary, [17.5, -17.5])
-        assert a.p_value == pytest.approx(b.p_value, abs=1e-12)
+        for c in (17.5, 1e-5):
+            b = generalized_test(summary, [c, -c])
+            assert a.p_value == pytest.approx(b.p_value, abs=1e-12)
 
     def test_three_statistic_weights(self):
         j = synthetic_joint()

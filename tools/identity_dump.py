@@ -8,7 +8,7 @@
 The dump imports ``reldep`` from ``<tree>/src`` and prints one line per
 result: the float.hex of the dependent test, the split test (plain and
 shuffled), the joint summary over 2, 3 and 5 pairs and the generalized
-test on each summary, over 120 seeds at m in {20, 120, 400}, with the
+test on each summary, over 120 seeds at m in {20, 23, 120, 400}, with the
 default kernels and with linear-x/bandwidth-y.  Then it prints the stdout
 and output files of ``reldep test`` (the README's four forms and
 ``--format csv``), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = range(120)
-SIZES = (20, 120, 400)
+SIZES = (20, 23, 120, 400)
 PAIR_SETS = (
     ((0, 1), (0, 2)),
     ((0, 1), (0, 2), (1, 2)),
