@@ -27,13 +27,14 @@ from reldep.dataset import (
     align,
     load_csv,
 )
-from reldep.hsic import hsic_estimate, variance_hsic
+from reldep.hsic import hsic_estimates, variance_hsic
 from reldep.kernels import (
     GAUSSIAN,
     LINEAR,
     KernelConfig,
     KernelSpec,
-    build_zero_diag_gram,
+    kernel_info,
+    kernel_rows,
 )
 from reldep.reltest import (
     dependent_test,
@@ -228,14 +229,13 @@ def cmd_hsic(args) -> int:
     if x.m != y.m:
         raise DatasetError(f"sample sizes {x.m},{y.m} differ")
     config = _kernel_config(args)
-    gx = build_zero_diag_gram(x, config.x, held=2)
-    gy = build_zero_diag_gram(y, config.y, held=2)
-    est = hsic_estimate(gx, gy, "XY")
+    rx, ry = kernel_rows(x, config.x), kernel_rows(y, config.y)
+    (est,) = hsic_estimates([rx, ry], [(0, 1)], ["XY"])
     payload = {
         "hsic": est.value,
         "variance": variance_hsic(est),
         "m": est.m,
-        "kernel": {"x": gx.descriptor(), "y": gy.descriptor()},
+        "kernel": {"x": kernel_info(config.x, rx), "y": kernel_info(config.y, ry)},
     }
     _emit(payload, args)
     return EXIT_OK

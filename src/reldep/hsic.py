@@ -10,11 +10,14 @@ the order-4 symmetrized kernel
     h(i,j,q,r) = (1/24) * sum over the 24 orderings (s,t,u,v)
                  of k_st (l_st + l_uv - 2 l_su).
 
-The per-observation aggregates of h drive the variance machinery:
-``hsic_estimate`` returns, next to the value and from the same O(m^2)
-reductions, the h-vector, whose entry i is exactly ``H_SUM_RATIO`` times
-the sum of h(i,j,q,r) over all ordered 3-tuples (j,q,r) of distinct
-indices avoiding i.  ``covariance_summary`` turns the h-vectors of n
+The per-observation aggregates of h drive the variance machinery: an
+estimate carries, next to the value and from the same O(m) reductions
+(row sums, row sums of K o L, K l_row and L k_row), the h-vector, whose
+entry i is exactly ``H_SUM_RATIO`` times the sum of h(i,j,q,r) over all
+ordered 3-tuples (j,q,r) of distinct indices avoiding i.  One formula
+turns the reductions into both: ``hsic_estimates`` takes them from the
+backend's streamed tiles, which the tests use, and ``hsic_estimate``
+from two dense Gram matrices.  ``covariance_summary`` turns the h-vectors of n
 estimates on shared sample rows into one clamped n x n covariance matrix.
 ``hsic_bruteforce`` and ``h_vector_bruteforce`` enumerate the tuples
 directly and exist purely to cross-check the fast path; they share no
@@ -31,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from reldep import _backend
+from reldep._backend import TileRows
 from reldep.dataset import PreconditionError
 from reldep.kernels import GramMatrix
 
@@ -39,6 +43,7 @@ __all__ = [
     "VARIANCE_FLOOR",
     "HsicEstimate",
     "hsic_estimate",
+    "hsic_estimates",
     "hsic_bruteforce",
     "h_vector_bruteforce",
     "variance_hsic",
@@ -79,43 +84,79 @@ def _falling3(n: int) -> float:
     return float(n * (n - 1) * (n - 2))
 
 
+def _check_m(m: int) -> int:
+    if m < 4:
+        raise PreconditionError(f"unbiased HSIC needs m >= 4, got {m}")
+    return m
+
+
 def _check_pair(kt: GramMatrix, lt: GramMatrix) -> int:
     if kt.m != lt.m:
         raise ValueError(f"Gram sizes differ: {kt.m} vs {lt.m}")
-    if kt.m < 4:
-        raise PreconditionError(f"unbiased HSIC needs m >= 4, got {kt.m}")
-    return kt.m
+    return _check_m(kt.m)
+
+
+def _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, pair_label) -> HsicEstimate:
+    """The unbiased value and h-vector from the O(m) reductions of one pair.
+
+    ``k_row`` and ``l_row`` are the Grams' row sums, ``kl_row`` the row
+    sums of K o L, ``k_lrow = K @ l_row`` and ``l_krow = L @ k_row``.
+    Overflow raises PreconditionError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace_kl = float(kl_row.sum())
+        sum_k = float(k_row.sum())
+        sum_l = float(l_row.sum())
+        row_dot = float(k_row @ l_row)
+        value = (
+            trace_kl
+            + sum_k * sum_l / ((m - 1.0) * (m - 2.0))
+            - 2.0 * row_dot / (m - 2.0)
+        ) / (m * (m - 3.0))
+        h = (
+            (m - 2.0) ** 2 * kl_row
+            - m * k_row * l_row
+            + (m - 2.0) * (trace_kl - k_lrow - l_krow)
+            + sum_l * k_row
+            + sum_k * l_row
+            - row_dot
+        )
+        finite = np.isfinite(value * value) and np.isfinite(h @ h)
+    if not finite:
+        raise PreconditionError(f"HSIC estimate {pair_label} overflows float64; rescale the input")
+    return HsicEstimate(value=value, h_vector=h, m=m, pair_label=pair_label)
 
 
 def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicEstimate:
-    """Unbiased HSIC value together with its h-vector, in one O(m^2) pass.
+    """Unbiased HSIC value together with its h-vector, from two dense Grams.
 
     Unbiasedness means the value can be negative even though the population
     quantity is nonnegative.  Overflow raises PreconditionError.
     """
     m = _check_pair(kt, lt)
-    k_row, l_row = kt.row_sums, lt.row_sums
-    kl_row, k_lrow, l_krow = _backend.hsic_h_reductions(kt.values, lt.values, k_row, l_row)
-    trace_kl = float(kl_row.sum())
-    sum_k = float(k_row.sum())
-    sum_l = float(l_row.sum())
-    row_dot = float(k_row @ l_row)
-    value = (
-        trace_kl
-        + sum_k * sum_l / ((m - 1.0) * (m - 2.0))
-        - 2.0 * row_dot / (m - 2.0)
-    ) / (m * (m - 3.0))
-    h = (
-        (m - 2.0) ** 2 * kl_row
-        - m * k_row * l_row
-        + (m - 2.0) * (trace_kl - k_lrow - l_krow)
-        + sum_l * k_row
-        + sum_k * l_row
-        - row_dot
-    )
-    if not (np.isfinite(value * value) and np.isfinite(h @ h)):
-        raise PreconditionError(f"HSIC estimate {pair_label} overflows float64; rescale the input")
-    return HsicEstimate(value=value, h_vector=h, m=m, pair_label=pair_label)
+    k, l = kt.values, lt.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        reductions = np.einsum("ij,ij->i", k, l), k @ lt.row_sums, l @ kt.row_sums
+    return _from_reductions(m, kt.row_sums, lt.row_sums, *reductions, pair_label)
+
+
+def hsic_estimates(
+    variables: Sequence[TileRows],
+    pairs: Sequence[tuple[int, int]],
+    labels: Sequence[str],
+) -> list[HsicEstimate]:
+    """Unbiased estimates with h-vectors for (a, b) index pairs into ``variables``.
+
+    The estimates of all pairs come from one ``hsic_h_reductions``: two
+    sweeps over the kernels' tiles, with no m x m matrix.  ``labels`` name
+    the pairs in overflow errors.
+    """
+    m = _check_m(variables[0].m)
+    row_sums, per_pair = _backend.hsic_h_reductions(*variables, pairs=pairs)
+    return [
+        _from_reductions(m, row_sums[a], row_sums[b], *sums, label)
+        for (a, b), sums, label in zip(pairs, per_pair, labels)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
-"""Zero-diagonal Gram matrices and bandwidth selection.
+"""Kernel choices, bandwidth selection and zero-diagonal Gram matrices.
 
 Two kernel families are supported: the Gaussian kernel
 ``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` with sigma chosen by the
 median heuristic unless overridden, and the plain linear kernel
-``k(a, b) = <a, b>``, both filled from the backend's padded tiles, so
-permuting the rows permutes either Gram exactly.  A Gaussian Gram lives
-in one m x m buffer from distances to kernel values: the distances are
-written into it, the exact median is selected from it and the kernel map
-rewrites it in place.  Gram matrices are exactly symmetric and carry their
-row sums; they are returned read-only and can be shared freely across
-workers.
+``k(a, b) = <a, b>``.  ``kernel_rows`` prepares one variable for the
+backend's streamed tiles, resolving the median from the same rows in one
+pass over the distance tiles, so the tests hold O(m) memory.  Every value
+comes from padded tiles, so permuting the rows permutes each kernel
+exactly.  ``build_zero_diag_gram`` writes the same tiles into one dense,
+exactly symmetric, read-only matrix that carries its row sums: the dense
+public API and the oracles' input, guarded against sizes that cannot fit
+in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +30,8 @@ __all__ = [
     "pairwise_sq_distances",
     "median_heuristic",
     "build_zero_diag_gram",
+    "kernel_rows",
+    "kernel_info",
 ]
 
 GAUSSIAN = "gaussian"
@@ -114,24 +117,28 @@ def pairwise_sq_distances(s: Sample) -> np.ndarray:
     return _backend.pairwise_sq_dists(s.data)
 
 
-def _median_sigma(d2: np.ndarray) -> float:
-    """Median pairwise distance given the full squared-distance matrix.
+def _median_rows(s: Sample) -> tuple[_backend.TileRows, float]:
+    """Distance rows of ``s`` and its median pairwise distance.
 
     Selects the two central order statistics of the squared distances
     (sqrt is monotone, so that is exact) and averages their roots, not the
     squares; in an odd pool both are the middle one, and the average is
     its root to the bit.  Zero distances from duplicate rows stay in the
     pool, but a zero median means the scale is degenerate and is an error.
+    A sample whose rows are all the same is refused from its column
+    ranges, before any O(m) work.
     """
-    m = d2.shape[0]
-    if m < 2:
+    if s.m < 2:
         raise PreconditionError("median heuristic needs at least 2 observations")
-    n_pairs = m * (m - 1) // 2
-    lo, hi = _backend.sq_distance_order_stats(d2, (n_pairs - 1) // 2, n_pairs // 2)
+    if np.array_equal(s.data.min(axis=0), s.data.max(axis=0)):
+        raise PreconditionError("degenerate sample: zero median distance")
+    rows = _backend.distance_rows(s.data)
+    n_pairs = s.m * (s.m - 1) // 2
+    lo, hi = _backend.sq_distance_order_stats(rows, (n_pairs - 1) // 2, n_pairs // 2)
     sigma = float(0.5 * (np.sqrt(lo) + np.sqrt(hi)))
     if sigma <= 0.0:
         raise PreconditionError("degenerate sample: zero median distance")
-    return sigma
+    return rows, sigma
 
 
 def median_heuristic(s: Sample) -> Bandwidth:
@@ -139,23 +146,40 @@ def median_heuristic(s: Sample) -> Bandwidth:
 
     An even pool takes the mean of the two central order statistics.
     """
-    return Bandwidth(_median_sigma(_backend.pairwise_sq_dists(s.data)))
+    return Bandwidth(_median_rows(s)[1])
+
+
+def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
+    """Rows of one variable, ready for its kernel tiles, bandwidth resolved.
+
+    A Gaussian spec without a bandwidth takes the median heuristic, from
+    the same distance rows its kernel tiles are then formed from.
+    """
+    if spec.family == LINEAR:
+        return _backend.linear_rows(s.data)
+    if spec.bandwidth is None:
+        rows, sigma = _median_rows(s)
+    else:
+        rows, sigma = _backend.distance_rows(s.data), spec.bandwidth
+    return replace(rows, sigma=sigma)
+
+
+def kernel_info(spec: KernelSpec, rows: _backend.TileRows) -> dict:
+    """The resolved kernel of one variable, as ``GramMatrix.descriptor`` gives it."""
+    return {"family": spec.family, "bandwidth": rows.sigma}
 
 
 def build_zero_diag_gram(s: Sample, spec: KernelSpec, held: int = 1) -> GramMatrix:
-    """Zero-diagonal Gram matrix for one variable, the estimators' input.
+    """Zero-diagonal Gram matrix for one variable, the dense estimators' input.
 
-    A Gaussian spec without a bandwidth resolves it by the median heuristic
-    on the same distance matrix the kernel map is then applied to, in
-    place, tile by tile, which matters inside Monte-Carlo loops.
-    ``held`` is the number of Gram matrices of this size the caller keeps
-    at once; if they cannot fit in physical memory, PreconditionError is
-    raised before any is allocated.
+    The tests stream their kernels and never build one; this is the dense
+    public API and the oracles' input.  It holds exactly the values of the
+    streamed tiles of ``kernel_rows``.  ``held`` is the number of Gram
+    matrices of this size the caller keeps at once; if they cannot fit in
+    physical memory, PreconditionError is raised before any is allocated
+    and before the bandwidth is resolved.
     """
-    if spec.family == LINEAR:
-        values = _backend.linear_gram(s.data, held)
-        return GramMatrix(values=values, family=LINEAR, bandwidth=None)
-    values = _backend.pairwise_sq_dists(s.data, held)
-    sigma = _median_sigma(values) if spec.bandwidth is None else spec.bandwidth
-    row_sums = _backend.gaussian_map(values, sigma)
-    return GramMatrix(values=values, family=spec.family, bandwidth=sigma, row_sums=row_sums)
+    out = _backend.square_buffer(s.m, held)
+    rows = kernel_rows(s, spec)
+    values = _backend.fill_square(rows, out)
+    return GramMatrix(values=values, family=spec.family, bandwidth=rows.sigma)

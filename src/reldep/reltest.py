@@ -9,7 +9,9 @@ the sample so the two estimates are independent at the cost of half the
 data.  The generalized test handles any weighted combination v of n HSIC
 statistics by projecting their joint Gaussian onto v, with variance
 v'Cv; the dependent test is its case v = (1, -1).  Every test reads its
-p-value through one ``_verdict`` on (means, covariance, weights).
+p-value through one ``_verdict`` on (means, covariance, weights).  Every
+test streams its estimates from kernel tiles (``hsic_estimates``), so its
+memory is O(m) and no m x m matrix is allocated.
 
 All p-values take the most conservative null, a zero difference, so the
 reported p is an upper bound over the composite null.
@@ -28,10 +30,10 @@ from reldep.hsic import (
     VARIANCE_FLOOR,
     HsicEstimate,
     covariance_summary,
-    hsic_estimate,
+    hsic_estimates,
     variance_hsic,
 )
-from reldep.kernels import KernelConfig, KernelSpec, build_zero_diag_gram
+from reldep.kernels import KernelConfig, KernelSpec, kernel_info, kernel_rows
 
 __all__ = [
     "DEPENDENT",
@@ -286,13 +288,13 @@ def _independent(
     cfg = kernel_config or KernelConfig()
     first, second = split_half(j, shuffle_seed=shuffle_seed)
     halves = ((first.x, cfg.x), (first.y, cfg.y), (second.x, cfg.x), (second.y, cfg.z))
-    gx1, gy, gx2, gz = (build_zero_diag_gram(s, spec, held=4) for s, spec in halves)
-    e_xy = hsic_estimate(gx1, gy, "X'Y'")
-    e_xz = hsic_estimate(gx2, gz, "X''Z''")
+    rx1, ry, rx2, rz = (kernel_rows(s, spec) for s, spec in halves)
+    (e_xy,) = hsic_estimates([rx1, ry], [(0, 1)], ["X'Y'"])
+    (e_xz,) = hsic_estimates([rx2, rz], [(0, 1)], ["X''Z''"])
     info = {
-        "x": {"family": cfg.x.family, "bandwidth": [gx1.bandwidth, gx2.bandwidth]},
-        "y": gy.descriptor(),
-        "z": gz.descriptor(),
+        "x": {"family": cfg.x.family, "bandwidth": [rx1.sigma, rx2.sigma]},
+        "y": kernel_info(cfg.y, ry),
+        "z": kernel_info(cfg.z, rz),
     }
     cov = np.diag([variance_hsic(e_xy), variance_hsic(e_xz)])  # the halves share nothing
     means = (e_xy.value, e_xz.value)
@@ -320,10 +322,11 @@ def joint_summary(
 
     ``samples`` is either a JointSample (indices 0, 1, 2 for x, y, z) or a
     list of aligned samples; ``pairs`` lists (source, target) index pairs.
-    A list of kernel specs needs one spec per sample.  Gram matrices are
-    built once per variable and shared; the covariance is
-    ``covariance_summary`` of the estimates, and ``kernel_info`` the
-    resolved kernel of each variable used.
+    A list of kernel specs needs one spec per sample.  Each variable's
+    kernel is resolved once, and every estimate comes from one pair of
+    sweeps over the kernels' tiles (``hsic_estimates``), so no m x m matrix
+    is held.  The covariance is ``covariance_summary`` of the estimates,
+    and ``kernel_info`` the resolved kernel of each variable used.
     """
     if isinstance(samples, JointSample):
         sample_list = [samples.x, samples.y]
@@ -351,22 +354,20 @@ def joint_summary(
             )
         spec_for = specs.__getitem__
 
-    # Each Gram is built just before its first estimate, which then reads
-    # it while it is still warm in cache.
-    held = len({i for pair in pairs for i in pair})
-    grams, estimates = {}, []
-    for a, b in pairs:
-        for i in (a, b):
-            if i not in grams:
-                if not 0 <= i < len(sample_list):
-                    raise ValueError(f"pair index {i} out of range")
-                grams[i] = build_zero_diag_gram(sample_list[i], spec_for(i), held=held)
-        estimates.append(hsic_estimate(grams[a], grams[b], f"{a}-{b}"))
+    used = list(dict.fromkeys(i for pair in pairs for i in pair))
+    for i in used:
+        if not 0 <= i < len(sample_list):
+            raise ValueError(f"pair index {i} out of range")
+    rows = [kernel_rows(sample_list[i], spec_for(i)) for i in used]
+    at = {i: k for k, i in enumerate(used)}
+    estimates = hsic_estimates(
+        rows, [(at[a], at[b]) for a, b in pairs], [f"{a}-{b}" for a, b in pairs]
+    )
     return JointGaussianSummary(
         means=np.array([e.value for e in estimates]),
         covariance=covariance_summary(estimates),
         m=sample_list[0].m,
-        kernel_info={str(i): grams[i].descriptor() for i in sorted(grams)},
+        kernel_info={str(i): kernel_info(spec_for(i), rows[at[i]]) for i in sorted(used)},
     )
 
 

@@ -1,6 +1,7 @@
 """The O(m^2) kernels in reldep._backend against direct computation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,21 @@ import reldep
 from reldep import _backend
 from reldep.dataset import PreconditionError, Sample, align
 from reldep.kernels import KernelConfig, KernelSpec, build_zero_diag_gram, median_heuristic
-from reldep.reltest import dependent_test
+from reldep.reltest import dependent_test, joint_summary
 
-TILE = _backend.TILE_ROWS
+TILE = _backend.TILE
+# Rows per stripe of the dense fill that came before the square tiles.
+STRIPE = 64
 # Largest m whose inner products once came from a single x @ x.T call.
 ONE_CALL_M = 512
 
 
-# Both fills of the stripe walker: squared distances and the linear Gram.
-FILLS = [_backend.pairwise_sq_dists, _backend.linear_gram]
+def linear_gram(x):
+    return _backend.fill_square(_backend.linear_rows(x), np.empty((len(x), len(x))))
+
+
+# Both dense fills of the tile function: squared distances and the linear Gram.
+FILLS = [_backend.pairwise_sq_dists, linear_gram]
 
 
 def test_backend_name_is_constant():
@@ -58,14 +65,15 @@ class TestNumpyBackendBasics:
             for k1, k2 in [(0, 0), (0, len(pool) - 1), (len(pool) // 2 - 1, len(pool) // 2)]:
                 if k1 < 0:
                     continue
-                lo, hi = _backend.sq_distance_order_stats(d2, k1, k2)
+                lo, hi = _backend.sq_distance_order_stats(_backend.distance_rows(x), k1, k2)
                 assert lo == pool[k1]
                 assert hi == pool[k2]
 
 
 class TestBlockedDistances:
     @pytest.mark.parametrize(
-        "m", [2, 5, TILE - 1, TILE + 1, ONE_CALL_M, ONE_CALL_M + 1, 700, 1001]
+        "m",
+        [2, 5, STRIPE - 1, STRIPE + 1, TILE - 1, TILE + 1, ONE_CALL_M, ONE_CALL_M + 1, 700, 1001],
     )
     def test_exactly_symmetric_zero_diagonal(self, rng, m):
         x = rng.standard_normal((m, 3)) + 50.0
@@ -77,7 +85,7 @@ class TestBlockedDistances:
         direct = ((x[rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         assert np.allclose(d2[rows], direct, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("m", [5, TILE + 1, ONE_CALL_M + 1])
+    @pytest.mark.parametrize("m", [5, STRIPE + 1, TILE + 1, ONE_CALL_M + 1])
     def test_symmetric_whatever_the_blas_returns(self, rng, monkeypatch, m):
         # Inner products with bits that differ between (i, j) and (j, i),
         # as block GEMMs can return at tile edges.
@@ -138,47 +146,54 @@ class TestBlockedDistances:
 
 
 class TestExactSelection:
-    """Bracketed selection must equal the sorted packed pool exactly."""
+    """The streamed selection must equal the sorted packed pool exactly."""
 
-    def check(self, d2):
-        pool = sorted_pool(d2)
+    def check(self, x):
+        pool = sorted_pool(_backend.pairwise_sq_dists(x))
+        rows = _backend.distance_rows(x)
         for k1, k2 in rank_pairs(pool.size):
             want = (pool[k1], pool[k2])
-            assert _backend.sq_distance_order_stats(d2, k1, k2) == want
-            bracket = _backend._sample_bracket(d2, k1, k2)
-            assert _backend._select_in_bracket(d2, k1, k2, *bracket) == want
+            assert _backend.sq_distance_order_stats(rows, k1, k2) == want
+            bracket = _backend._sample_bracket(rows, k1, k2)
+            assert _backend._select_in_bracket(rows, k1, k2, *bracket) == want
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    @pytest.mark.parametrize(
+        "m",
+        [2, 3, 4, 5, STRIPE - 1, STRIPE, STRIPE + 1, 2 * STRIPE + 1,
+         TILE - 1, TILE, TILE + 1, 2 * TILE + 1],
+    )
     def test_sizes_around_the_tile(self, rng, m):
-        self.check(_backend.pairwise_sq_dists(rng.standard_normal((m, 2))))
+        self.check(rng.standard_normal((m, 2)))
 
     def test_pool_mostly_zeros(self, rng):
         # 100 identical rows: 4950 of the 7140 pairs are at distance 0.
         x = np.vstack([np.ones((100, 2)), rng.standard_normal((20, 2))])
-        d2 = _backend.pairwise_sq_dists(x)
-        pool = sorted_pool(d2)
+        pool = sorted_pool(_backend.pairwise_sq_dists(x))
         assert np.count_nonzero(pool == 0.0) > pool.size // 2
-        self.check(d2)
+        self.check(x)
         zeros = np.count_nonzero(pool == 0.0)
-        assert _backend.sq_distance_order_stats(d2, zeros - 1, zeros) == (0.0, pool[zeros])
+        rows = _backend.distance_rows(x)
+        assert _backend.sq_distance_order_stats(rows, zeros - 1, zeros) == (0.0, pool[zeros])
 
     def test_ties_on_both_bracket_edges(self, rng):
         # Integer points: squared distances are small integers with many ties.
-        d2 = _backend.pairwise_sq_dists(rng.integers(0, 6, size=(150, 2)).astype(float))
-        pool = sorted_pool(d2)
+        x = rng.integers(0, 6, size=(150, 2)).astype(float)
+        rows = _backend.distance_rows(x)
+        pool = sorted_pool(_backend.pairwise_sq_dists(x))
         k1, k2 = pool.size // 2 - 1, pool.size // 2
         brackets = [(pool[k1], pool[k2]), (pool[k1], pool[k1]), (pool[k1 - 500], pool[k2 + 500])]
         for lo, hi in brackets:
             assert pool[np.searchsorted(pool, lo) + 1] == lo  # lo is tied
             assert pool[np.searchsorted(pool, hi, side="right") - 2] == hi  # so is hi
-            assert _backend._select_in_bracket(d2, k1, k2, lo, hi) == (pool[k1], pool[k2])
+            assert _backend._select_in_bracket(rows, k1, k2, lo, hi) == (pool[k1], pool[k2])
 
     def test_bracket_miss_reruns_unbounded(self, rng, monkeypatch):
-        d2 = _backend.pairwise_sq_dists(rng.standard_normal((200, 2)))
-        pool = sorted_pool(d2)
+        x = rng.standard_normal((200, 2))
+        rows = _backend.distance_rows(x)
+        pool = sorted_pool(_backend.pairwise_sq_dists(x))
         k1, k2 = pool.size // 2 - 1, pool.size // 2
         miss = (pool[k2 + 10], pool[k2 + 20])
-        assert _backend._select_in_bracket(d2, k1, k2, *miss) is None
+        assert _backend._select_in_bracket(rows, k1, k2, *miss) is None
         calls = []
         select = _backend._select_in_bracket
 
@@ -188,7 +203,7 @@ class TestExactSelection:
 
         monkeypatch.setattr(_backend, "_sample_bracket", lambda *args: miss)
         monkeypatch.setattr(_backend, "_select_in_bracket", spy)
-        assert _backend.sq_distance_order_stats(d2, k1, k2) == (pool[k1], pool[k2])
+        assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
         assert calls == [(k1, k2, *miss), (k1, k2, -np.inf, np.inf)]
 
 
@@ -209,12 +224,15 @@ class TestOverflowGuard:
 
     @pytest.mark.parametrize("scale", [1e160, 1e100])
     def test_linear_estimate_overflow_raises(self, rng, scale):
-        # 1e160 overflows the Gram itself, 1e100 only the estimate's square.
+        # 1e160 overflows the Gram itself, 1e100 only the estimate's square;
+        # either is refused without a NumPy RuntimeWarning.
         j = self.huge(rng)
         big = align(Sample(np.arange(12.0)[:, None] * scale), j.y, j.z)
         linear = KernelConfig(x=KernelSpec(family="linear"))
-        with pytest.raises(PreconditionError, match="HSIC estimate 0-1 overflows float64"):
-            dependent_test(big, linear)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PreconditionError, match="HSIC estimate 0-1 overflows float64"):
+                dependent_test(big, linear)
 
     def test_large_representable_inputs_stay_finite(self, rng):
         j = self.huge(rng)
@@ -247,8 +265,67 @@ class TestMemoryGuard:
     def test_message_counts_every_gram_held(self, big):
         need = "3 m x m matrices at m = 2000000 need 96000000000000 bytes"
         with pytest.raises(PreconditionError, match=need):
-            dependent_test(align(big, big, big))
+            build_zero_diag_gram(big, KernelSpec(), held=3)
+        # The tests hold no m x m matrix.  Rows that are all the same are
+        # refused from their column ranges, before any O(m) allocation and
+        # before the 2e12 pairs of a streamed pass.
+        j = align(big, big, big)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="zero median distance"):
+                dependent_test(j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_median_heuristic_guarded(self, big):
         with pytest.raises(PreconditionError):
             median_heuristic(big)
+
+
+def dense_reductions(kt, lt):
+    """The streamed reductions written out from two dense Grams."""
+    k, l = kt.values, lt.values
+    return np.einsum("ij,ij->i", k, l), k @ lt.row_sums, l @ kt.row_sums
+
+
+class TestStreamedReductions:
+    """hsic_h_reductions against the same sums over dense Gram matrices."""
+
+    SPECS = [KernelSpec(), KernelSpec(bandwidth=1.3), KernelSpec(family="linear")]
+
+    @pytest.mark.parametrize("m", [4, 5, TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 700])
+    @pytest.mark.parametrize("family", ["gaussian", "linear"])
+    def test_match_dense_grams(self, rng, m, family):
+        from reldep.kernels import kernel_rows
+
+        specs = self.SPECS if family == "gaussian" else self.SPECS[::-1]
+        samples = [Sample(rng.standard_normal((m, d)) + 3.0) for d in (1, 2, 3)]
+        pairs = [(0, 1), (0, 2), (2, 1)]
+        rows = [kernel_rows(s, spec) for s, spec in zip(samples, specs)]
+        grams = [build_zero_diag_gram(s, spec) for s, spec in zip(samples, specs)]
+        row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs)
+        for got, g in zip(row_sums, grams):
+            assert np.allclose(got, g.row_sums, rtol=1e-13, atol=0)
+        for (a, b), got in zip(pairs, per_pair):
+            for streamed, dense in zip(got, dense_reductions(grams[a], grams[b])):
+                scale = np.abs(dense).max()
+                assert np.allclose(streamed, dense, rtol=0, atol=1e-13 * scale)
+
+    def test_kept_tiles_change_no_bit(self, rng, monkeypatch):
+        m = 1000
+        t = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        j = align(
+            Sample(np.column_stack([t, np.sin(t)]) + 0.3 * rng.standard_normal((m, 2))),
+            Sample(np.column_stack([np.cos(t), t]) + 0.5 * rng.standard_normal((m, 2))),
+            Sample(rng.standard_normal((m, 3))),
+        )
+        pairs = ((0, 1), (0, 2), (1, 2))
+        linear = KernelConfig(y=KernelSpec(family="linear"))
+        default = dependent_test(j), joint_summary(j, pairs, linear)
+        monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
+        recomputed = dependent_test(j), joint_summary(j, pairs, linear)
+        assert recomputed[0] == default[0]
+        assert np.array_equal(recomputed[1].means, default[1].means)
+        assert np.array_equal(recomputed[1].covariance, default[1].covariance)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,10 +70,14 @@ class TestCmdTest:
 
     @pytest.mark.parametrize("scale", [1e160, 1e100])
     def test_overflowing_linear_estimate_exit_3(self, tmp_path, capsys, xyz_files, scale):
-        # 1e160 overflows the Gram itself, 1e100 only the estimate's square.
+        # 1e160 overflows the Gram itself, 1e100 only the estimate's square;
+        # either is refused without a NumPy RuntimeWarning.
         _, y, z = xyz_files
         x = write_sample(tmp_path / "big.csv", np.arange(120.0)[:, None] * scale)
-        assert main(["test", x, y, z, "--kernel-x", "linear"]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["test", x, y, z, "--kernel-x", "linear"]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "HSIC estimate 0-1 overflows float64" in capsys.readouterr().err
 
     def test_independent_method(self, capsys, xyz_files):

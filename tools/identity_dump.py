@@ -8,7 +8,8 @@
 The dump imports ``reldep`` from ``<tree>/src`` and prints one line per
 result: the float.hex of the dependent test, the split test (plain and
 shuffled), the joint summary over 2, 3 and 5 pairs and the generalized
-test on each summary, over 120 seeds at m in {20, 23, 120, 400}, with the
+test on each summary, over 120 seeds at m in {20, 23, 120, 400} and 5
+seeds at m = 1000, whose tiles no longer all fit the keep budget, with the
 default kernels and with linear-x/bandwidth-y.  Then it prints the stdout
 and output files of ``reldep test`` (the README's four forms and
 ``--format csv``), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
@@ -30,6 +31,8 @@ from pathlib import Path
 
 SEEDS = range(120)
 SIZES = (20, 23, 120, 400)
+# m = 1000 has tiles that are recomputed instead of kept (_backend.KEEP_BYTES).
+LARGE_M, LARGE_SEEDS = 1000, range(5)
 PAIR_SETS = (
     ((0, 1), (0, 2)),
     ((0, 1), (0, 2), (1, 2)),
@@ -57,7 +60,8 @@ def dump_results(reldep, out):
     }
     samples = [(f"m{m}-s{seed}", sample_synthetic(
         SynthConfig(m=m, gamma3=0.3 + 0.2 * (seed % 8), seed=seed)))
-        for m in SIZES for seed in SEEDS]
+        for m, seeds in [*((m, SEEDS) for m in SIZES), (LARGE_M, LARGE_SEEDS)]
+        for seed in seeds]
     j = samples[0][1]
     dup = reldep.Sample(j.x.data[[0, 1, 2, 0, 3, 1, 4, 5, 6, 7, 8, 2, 9, 10]], "dup")
     samples.append(("dup", reldep.align(dup, j.y.rows(range(14)), j.z.rows(range(14)))))
