@@ -167,18 +167,18 @@ def _physical_memory() -> int | None:
         return None
 
 
-def square_buffer(m: int, held: int = 1) -> np.ndarray:
+def square_buffer(m: int) -> np.ndarray:
     """Uninitialised m x m float64 buffer, the one allocation point of m x m data.
 
-    ``held`` is how many such matrices the caller keeps at once.  When they
-    need more bytes than the machine's physical memory, PreconditionError
-    is raised before anything is allocated, instead of an OOM kill later.
+    When it needs more bytes than the machine's physical memory,
+    PreconditionError is raised before anything is allocated, instead of
+    an OOM kill later.
     """
-    need = 8 * m * m * held
+    need = 8 * m * m
     physical = _physical_memory()
     if physical is not None and need > physical:
         raise PreconditionError(
-            f"{held} m x m matrices at m = {m} need {need} bytes, more than the"
+            f"an m x m matrix at m = {m} needs {need} bytes, more than the"
             f" {physical} bytes of physical memory"
         )
     return np.empty((m, m))

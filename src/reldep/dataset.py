@@ -9,9 +9,8 @@ values are never imputed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -96,20 +95,11 @@ class JointSample:
         return self.x.m
 
 
-def load_csv(
-    path,
-    *,
-    delimiter: str = ",",
-    has_header: bool = False,
-    column_range: tuple[int, int] | None = None,
-    label: str | None = None,
-) -> Sample:
-    """Load a numeric CSV file into a Sample.
+def load_csv(path, *, delimiter: str = ",", has_header: bool = False) -> Sample:
+    """Load a numeric CSV file into a Sample labelled with the file's stem.
 
-    ``column_range`` is a half-open 0-based ``(start, stop)`` over the file's
-    columns; None keeps every column.  Rows must all have the same width and
-    every selected cell must be a finite number; errors name the offending
-    1-based line and column.
+    Rows must all have the same width and every cell must be a finite
+    number; errors name the offending 1-based line and column.
     """
     path = Path(path)
     if len(delimiter) != 1:
@@ -135,14 +125,6 @@ def load_csv(
             raise DatasetError(
                 f"{path}: line {lineno} has {len(cells)} columns, expected {width}"
             )
-        if column_range is not None:
-            start, stop = column_range
-            if not (0 <= start < stop <= len(cells)):
-                raise DatasetError(
-                    f"{path}: column range {start}:{stop} is empty or out of "
-                    f"bounds for {len(cells)} columns"
-                )
-            cells = cells[start:stop]
         parsed = []
         for colno, cell in enumerate(cells, start=1):
             try:
@@ -162,15 +144,15 @@ def load_csv(
 
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    return Sample(np.array(rows, dtype=np.float64), label or path.stem)
+    return Sample(np.array(rows, dtype=np.float64), path.stem)
 
 
-def save_csv(sample: Sample, path, *, delimiter: str = ",") -> None:
+def save_csv(sample: Sample, path) -> None:
     """Write a sample with exact round-trip precision (shortest repr)."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         for row in sample.data:
-            fh.write(delimiter.join(repr(float(v)) for v in row))
+            fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
 
 

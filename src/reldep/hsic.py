@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import copysign, sqrt
+from math import copysign, fsum, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,10 @@ H_SUM_RATIO = 2.0
 # are floored here so downstream standard deviations stay well defined.
 VARIANCE_FLOOR = 1e-12
 
+# OpenBLAS splits a dot product of more than this many elements across
+# threads, which changes its last bits with the thread count.
+_DOT_CHUNK = 10_000
+
 
 @dataclass(frozen=True)
 class HsicEstimate:
@@ -82,6 +86,25 @@ class HsicEstimate:
 def _falling3(n: int) -> float:
     """n (n-1) (n-2): the number of ordered 3-tuples from n items."""
     return float(n * (n - 1) * (n - 2))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b, with the same bits whatever the BLAS thread count.
+
+    Up to ``_DOT_CHUNK`` elements it is the one BLAS call; longer vectors
+    ``fsum`` the dots of fixed chunks of that length.  A sum that overflows
+    gives inf or nan, as the one call would.
+    """
+    if a.shape[0] <= _DOT_CHUNK:
+        return float(a @ b)
+    parts = [
+        float(a[c : c + _DOT_CHUNK] @ b[c : c + _DOT_CHUNK])
+        for c in range(0, a.shape[0], _DOT_CHUNK)
+    ]
+    try:
+        return fsum(parts)
+    except (OverflowError, ValueError):  # beyond float64, or inf - inf
+        return sum(parts)
 
 
 def _check_m(m: int) -> int:
@@ -107,7 +130,7 @@ def _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, pair_label) -> Hsi
         trace_kl = float(kl_row.sum())
         sum_k = float(k_row.sum())
         sum_l = float(l_row.sum())
-        row_dot = float(k_row @ l_row)
+        row_dot = _dot(k_row, l_row)
         value = (
             trace_kl
             + sum_k * sum_l / ((m - 1.0) * (m - 2.0))
@@ -136,8 +159,9 @@ def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicE
     m = _check_pair(kt, lt)
     k, l = kt.values, lt.values
     with np.errstate(over="ignore", invalid="ignore"):
-        reductions = np.einsum("ij,ij->i", k, l), k @ lt.row_sums, l @ kt.row_sums
-    return _from_reductions(m, kt.row_sums, lt.row_sums, *reductions, pair_label)
+        k_row, l_row = k.sum(axis=1), l.sum(axis=1)
+        reductions = np.einsum("ij,ij->i", k, l), k @ l_row, l @ k_row
+    return _from_reductions(m, k_row, l_row, *reductions, pair_label)
 
 
 def hsic_estimates(
@@ -228,7 +252,7 @@ def _r_statistic(h_a: np.ndarray, h_b: np.ndarray, m: int) -> float:
     hence the extra 1/H_SUM_RATIO^2.
     """
     f = _falling3(m - 1)
-    return float(h_a @ h_b) / (H_SUM_RATIO**2 * m * f * f)
+    return _dot(h_a, h_b) / (H_SUM_RATIO**2 * m * f * f)
 
 
 def variance_hsic(e: HsicEstimate) -> float:

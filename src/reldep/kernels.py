@@ -8,14 +8,13 @@ backend's streamed tiles, resolving the median from the same rows in one
 pass over the distance tiles, so the tests hold O(m) memory.  Every value
 comes from padded tiles, so permuting the rows permutes each kernel
 exactly.  ``build_zero_diag_gram`` writes the same tiles into one dense,
-exactly symmetric, read-only matrix that carries its row sums: the dense
-public API and the oracles' input, guarded against sizes that cannot fit
-in memory.
+exactly symmetric, read-only matrix: the dense public API and the
+oracles' input, guarded against sizes that cannot fit in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,15 +82,12 @@ class GramMatrix:
     """Symmetric matrix of kernel evaluations over one sample, diagonal masked.
 
     The unbiased estimators assume K_ii = 0, so any other matrix is
-    rejected here rather than silently biasing an estimate.  ``row_sums``
-    is ``values.sum(axis=1)``; it is computed here unless the builder
-    already took it during its own pass over the matrix.
+    rejected here rather than silently biasing an estimate.
     """
 
     values: np.ndarray
     family: str
     bandwidth: float | None
-    row_sums: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -99,17 +95,10 @@ class GramMatrix:
             raise ValueError("Gram matrix values must be square and zero-diagonal")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        sums = v.sum(axis=1) if self.row_sums is None else self.row_sums
-        sums = np.ascontiguousarray(sums, dtype=np.float64)
-        sums.setflags(write=False)
-        object.__setattr__(self, "row_sums", sums)
 
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-    def descriptor(self) -> dict:
-        return {"family": self.family, "bandwidth": self.bandwidth}
 
 
 def pairwise_sq_distances(s: Sample) -> np.ndarray:
@@ -153,7 +142,9 @@ def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
     """Rows of one variable, ready for its kernel tiles, bandwidth resolved.
 
     A Gaussian spec without a bandwidth takes the median heuristic, from
-    the same distance rows its kernel tiles are then formed from.
+    the same distance rows its kernel tiles are then formed from.  A
+    bandwidth whose square underflows float64 (below about 1.5e-154) would
+    divide by zero in the Gaussian map, so it raises PreconditionError.
     """
     if spec.family == LINEAR:
         return _backend.linear_rows(s.data)
@@ -161,25 +152,29 @@ def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
         rows, sigma = _median_rows(s)
     else:
         rows, sigma = _backend.distance_rows(s.data), spec.bandwidth
+    if sigma * sigma < np.finfo(np.float64).tiny:
+        raise PreconditionError(
+            f"Gaussian bandwidth {sigma:.3g} is too small: its square underflows"
+            f" float64; rescale the input"
+        )
     return replace(rows, sigma=sigma)
 
 
 def kernel_info(spec: KernelSpec, rows: _backend.TileRows) -> dict:
-    """The resolved kernel of one variable, as ``GramMatrix.descriptor`` gives it."""
+    """The resolved kernel of one variable: its family and bandwidth."""
     return {"family": spec.family, "bandwidth": rows.sigma}
 
 
-def build_zero_diag_gram(s: Sample, spec: KernelSpec, held: int = 1) -> GramMatrix:
+def build_zero_diag_gram(s: Sample, spec: KernelSpec) -> GramMatrix:
     """Zero-diagonal Gram matrix for one variable, the dense estimators' input.
 
     The tests stream their kernels and never build one; this is the dense
     public API and the oracles' input.  It holds exactly the values of the
-    streamed tiles of ``kernel_rows``.  ``held`` is the number of Gram
-    matrices of this size the caller keeps at once; if they cannot fit in
-    physical memory, PreconditionError is raised before any is allocated
+    streamed tiles of ``kernel_rows``.  If the matrix cannot fit in
+    physical memory, PreconditionError is raised before it is allocated
     and before the bandwidth is resolved.
     """
-    out = _backend.square_buffer(s.m, held)
+    out = _backend.square_buffer(s.m)
     rows = kernel_rows(s, spec)
     values = _backend.fill_square(rows, out)
     return GramMatrix(values=values, family=spec.family, bandwidth=rows.sigma)

@@ -280,17 +280,16 @@ def _independent(
 ) -> tuple[TestResult, list[HsicEstimate]]:
     """``independent_test`` plus its half-sample estimates.
 
-    (x', y') come from one half, (x'', z'') from the other.  Bandwidth
-    heuristics are resolved per half, so the two statistics share nothing
-    at all.
+    (x', y') come from one half, (x'', z'') from the other, both from one
+    sweep over the tiles.  Bandwidth heuristics are resolved per half, so
+    the two statistics share nothing at all.
     """
     _check_alpha(alpha)
     cfg = kernel_config or KernelConfig()
     first, second = split_half(j, shuffle_seed=shuffle_seed)
     halves = ((first.x, cfg.x), (first.y, cfg.y), (second.x, cfg.x), (second.y, cfg.z))
     rx1, ry, rx2, rz = (kernel_rows(s, spec) for s, spec in halves)
-    (e_xy,) = hsic_estimates([rx1, ry], [(0, 1)], ["X'Y'"])
-    (e_xz,) = hsic_estimates([rx2, rz], [(0, 1)], ["X''Z''"])
+    e_xy, e_xz = hsic_estimates([rx1, ry, rx2, rz], [(0, 1), (2, 3)], ["X'Y'", "X''Z''"])
     info = {
         "x": {"family": cfg.x.family, "bandwidth": [rx1.sigma, rx2.sigma]},
         "y": kernel_info(cfg.y, ry),

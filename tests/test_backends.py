@@ -11,6 +11,7 @@ from reldep import _backend
 from reldep.dataset import PreconditionError, Sample, align
 from reldep.kernels import KernelConfig, KernelSpec, build_zero_diag_gram, median_heuristic
 from reldep.reltest import dependent_test, joint_summary
+from reldep.synthbench import SynthConfig, sample_synthetic
 
 TILE = _backend.TILE
 # Rows per stripe of the dense fill that came before the square tiles.
@@ -139,11 +140,6 @@ class TestBlockedDistances:
         a, b = dependent_test(j), dependent_test(shuffled)
         assert b.kernel_info == a.kernel_info
 
-    def test_gaussian_row_sums_are_the_plain_sums(self, rng):
-        for m in (TILE + 1, 700):
-            g = build_zero_diag_gram(Sample(rng.standard_normal((m, 2))), KernelSpec())
-            assert np.array_equal(g.row_sums, g.values.sum(axis=1))
-
 
 class TestExactSelection:
     """The streamed selection must equal the sorted packed pool exactly."""
@@ -242,6 +238,33 @@ class TestOverflowGuard:
         assert res.kernel_info["x"]["bandwidth"] == pytest.approx(4.0e150, rel=1e-9)
 
 
+def scaled_sample(c):
+    j = sample_synthetic(SynthConfig(m=200, gamma3=1.2, seed=3))
+    return j, align(*(Sample(s.data * c) for s in (j.x, j.y, j.z)))
+
+
+class TestUnderflowGuard:
+    """Bandwidths whose square underflows are refused; above that, scale is free."""
+
+    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    def test_scaling_keeps_p_and_scales_bandwidths(self, c):
+        j, scaled = scaled_sample(c)
+        a, b = dependent_test(j), dependent_test(scaled)
+        assert b.p_value == pytest.approx(a.p_value, rel=1e-9, abs=0)
+        for v in "xyz":
+            want = c * a.kernel_info[v]["bandwidth"]
+            assert b.kernel_info[v]["bandwidth"] == pytest.approx(want, rel=1e-9)
+
+    def test_median_bandwidth_that_underflows_raises(self):
+        with pytest.raises(PreconditionError, match="square underflows float64"):
+            dependent_test(scaled_sample(1e-156)[1])
+
+    def test_user_bandwidth_that_underflows_raises(self, rng):
+        s = Sample(rng.standard_normal((12, 2)))
+        with pytest.raises(PreconditionError, match="rescale the input"):
+            build_zero_diag_gram(s, KernelSpec(bandwidth=1e-200))
+
+
 class TestMemoryGuard:
     """m x m allocations that cannot fit in physical memory fail up front."""
 
@@ -263,9 +286,9 @@ class TestMemoryGuard:
         assert peak < 1 << 20
 
     def test_message_counts_every_gram_held(self, big):
-        need = "3 m x m matrices at m = 2000000 need 96000000000000 bytes"
+        need = "an m x m matrix at m = 2000000 needs 32000000000000 bytes"
         with pytest.raises(PreconditionError, match=need):
-            build_zero_diag_gram(big, KernelSpec(), held=3)
+            build_zero_diag_gram(big, KernelSpec())
         # The tests hold no m x m matrix.  Rows that are all the same are
         # refused from their column ranges, before any O(m) allocation and
         # before the 2e12 pairs of a streamed pass.
@@ -287,7 +310,7 @@ class TestMemoryGuard:
 def dense_reductions(kt, lt):
     """The streamed reductions written out from two dense Grams."""
     k, l = kt.values, lt.values
-    return np.einsum("ij,ij->i", k, l), k @ lt.row_sums, l @ kt.row_sums
+    return np.einsum("ij,ij->i", k, l), k @ l.sum(axis=1), l @ k.sum(axis=1)
 
 
 class TestStreamedReductions:
@@ -307,7 +330,7 @@ class TestStreamedReductions:
         grams = [build_zero_diag_gram(s, spec) for s, spec in zip(samples, specs)]
         row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs)
         for got, g in zip(row_sums, grams):
-            assert np.allclose(got, g.row_sums, rtol=1e-13, atol=0)
+            assert np.allclose(got, g.values.sum(axis=1), rtol=1e-13, atol=0)
         for (a, b), got in zip(pairs, per_pair):
             for streamed, dense in zip(got, dense_reductions(grams[a], grams[b])):
                 scale = np.abs(dense).max()

@@ -68,6 +68,10 @@ class TestCmdTest:
         assert main(["test", x, y, z]) == 3
         assert "too large for squared distances" in capsys.readouterr().err
 
+    def test_underflowing_bandwidth_exit_3(self, capsys, xyz_files):
+        assert main(["test", *xyz_files, "--bandwidth-x", "1e-200"]) == 3
+        assert "square underflows float64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", [1e160, 1e100])
     def test_overflowing_linear_estimate_exit_3(self, tmp_path, capsys, xyz_files, scale):
         # 1e160 overflows the Gram itself, 1e100 only the estimate's square;
@@ -115,6 +119,18 @@ class TestCmdTest:
         x, y, z = xyz_files
         code = main(["test", x, y, z, "--pairs", "0-5,0-1", "--weights", "1,-1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kernel-x", "linear", "--bandwidth-x", "1"], "linear kernel takes no bandwidth"),
+            (["--pairs", "0-1,0-2", "--weights", "0,0"], "weight vector must be nonzero"),
+            (["--pairs", "0-1,0-2", "--weights", "1"], "weight length 1 does not match 2"),
+        ],
+    )
+    def test_library_refusals_exit_2(self, capsys, xyz_files, flags, message):
+        assert main(["test", *xyz_files, *flags]) == 2
+        assert message in capsys.readouterr().err
 
     def test_kernel_and_bandwidth_flags(self, capsys, xyz_files):
         x, y, z = xyz_files

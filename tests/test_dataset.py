@@ -45,14 +45,6 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
-    def test_column_range(self, tmp_path):
-        s = load_csv(write(tmp_path, "1,2,3\n4,5,6\n"), column_range=(1, 3))
-        assert np.array_equal(s.data, [[2, 3], [5, 6]])
-
-    def test_empty_column_range(self, tmp_path):
-        with pytest.raises(DatasetError, match="empty or out of bounds"):
-            load_csv(write(tmp_path, "1,2\n3,4\n"), column_range=(2, 2))
-
     def test_scientific_notation(self, tmp_path):
         s = load_csv(write(tmp_path, "1e-3,2.5E+2\n-1.25e1,0\n"))
         assert np.array_equal(s.data, [[1e-3, 250.0], [-12.5, 0.0]])

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import reldep
 from reldep.dataset import PreconditionError, Sample
 from reldep.hsic import (
     H_SUM_RATIO,
     VARIANCE_FLOOR,
+    _from_reductions,
     covariance_summary,
     cross_covariance,
     h_vector_bruteforce,
@@ -266,3 +273,39 @@ class TestCovarianceSummary:
                 raw = cross_covariance(es[a], es[b])
                 bound = np.sqrt(s[a, a] * s[b, b])
                 assert s[a, b] == (raw if abs(raw) <= bound else np.copysign(bound, raw))
+
+
+# Estimates and covariances from fixed 12,000-element reductions, whose
+# dot products exceed the length that OpenBLAS splits across threads.
+_THREAD_PROBE = """
+import numpy as np
+from reldep.hsic import _from_reductions, covariance_summary
+m = 12_000
+k_row, l_row, r_row, kl_row, k_lrow, l_krow = (
+    np.random.default_rng(7).uniform(100.0, 200.0, size=(6, m)))
+e = _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, "0-1")
+f = _from_reductions(m, k_row, r_row, kl_row, k_lrow, l_krow, "0-2")
+print(e.value.hex(), *(c.hex() for c in covariance_summary([e, f]).ravel()))
+"""
+
+
+def test_long_dots_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(reldep.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_long_dot_whose_chunks_overflow_is_refused_as_overflow():
+    # Chunk dots of +inf and -inf, which math.fsum refuses with ValueError.
+    m = 12_000
+    k_row = np.where(np.arange(m) < 10_000, 1e300, -1e300)
+    ones = np.ones(m)
+    with pytest.raises(PreconditionError, match="overflows float64"):
+        _from_reductions(m, k_row, 1e10 * ones, ones, ones, ones, "0-1")
