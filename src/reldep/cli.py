@@ -32,6 +32,7 @@ from reldep.kernels import (
     kernel_rows,
 )
 from reldep.reltest import (
+    check_weights,
     dependent_test,
     generalized_test,
     independent_test,
@@ -172,6 +173,7 @@ def cmd_test(args) -> int:
             raise CliError("--pairs and --weights must be used together")
         pairs = _parse_pairs(args.pairs)
         weights = _parse_weights(args.weights)
+        check_weights(weights, len(pairs), args.alpha)
         summary = joint_summary(samples, pairs, config)
         result = generalized_test(summary, weights, alpha=args.alpha)
         payload = result.to_dict()

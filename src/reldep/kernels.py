@@ -143,8 +143,9 @@ def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
 
     A Gaussian spec without a bandwidth takes the median heuristic, from
     the same distance rows its kernel tiles are then formed from.  A
-    bandwidth whose square underflows float64 (below about 1.5e-154) would
-    divide by zero in the Gaussian map, so it raises PreconditionError.
+    bandwidth whose square underflows or overflows float64 (outside about
+    1.5e-154 to 1.3e154) would divide by zero or give every kernel value 1,
+    so it raises PreconditionError.
     """
     if spec.family == LINEAR:
         return _backend.linear_rows(s.data)
@@ -152,10 +153,10 @@ def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
         rows, sigma = _median_rows(s)
     else:
         rows, sigma = _backend.distance_rows(s.data), spec.bandwidth
-    if sigma * sigma < np.finfo(np.float64).tiny:
+    if not np.finfo(np.float64).tiny <= sigma * sigma < np.inf:
         raise PreconditionError(
-            f"Gaussian bandwidth {sigma:.3g} is too small: its square underflows"
-            f" float64; rescale the input"
+            f"Gaussian bandwidth {sigma:.3g} is out of range: its square"
+            f" {'underflows' if sigma < 1 else 'overflows'} float64; rescale the input"
         )
     return replace(rows, sigma=sigma)
 

@@ -48,6 +48,7 @@ __all__ = [
     "dependent_test",
     "independent_test",
     "joint_summary",
+    "check_weights",
     "generalized_test",
 ]
 
@@ -312,6 +313,22 @@ def independent_test(
     return _independent(j, kernel_config, alpha, shuffle_seed)[0]
 
 
+def check_weights(v: Sequence[float], n: int, alpha: float = 0.05) -> np.ndarray:
+    """Weights ``v`` of ``n`` statistics as float64; refuses bad weights or alpha."""
+    _check_alpha(alpha)
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    if v.shape != (n,):
+        raise ValueError(
+            f"weight length {v.shape[0] if v.ndim == 1 else v.shape} does not "
+            f"match {n} statistics"
+        )
+    if not np.isfinite(v).all():
+        raise ValueError("weight vector must be finite")
+    if not v.any():
+        raise ValueError("weight vector must be nonzero")
+    return v
+
+
 def joint_summary(
     samples: JointSample | Sequence[Sample],
     pairs: Sequence[tuple[int, int]],
@@ -383,17 +400,7 @@ def generalized_test(
     (1, -1) over the two-statistic summary this is the dependent test, to
     the bit.
     """
-    _check_alpha(alpha)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    if v.shape != (summary.n,):
-        raise ValueError(
-            f"weight length {v.shape[0] if v.ndim == 1 else v.shape} does not "
-            f"match {summary.n} statistics"
-        )
-    if not np.isfinite(v).all():
-        raise ValueError("weight vector must be finite")
-    if not v.any():
-        raise ValueError("weight vector must be nonzero")
+    v = check_weights(v, summary.n, alpha)
     return _verdict(
         summary.means,
         summary.covariance,

@@ -244,7 +244,7 @@ def scaled_sample(c):
 
 
 class TestUnderflowGuard:
-    """Bandwidths whose square underflows are refused; above that, scale is free."""
+    """Bandwidths whose square leaves float64 are refused; inside, scale is free."""
 
     @pytest.mark.parametrize("c", [1e-150, 1e150])
     def test_scaling_keeps_p_and_scales_bandwidths(self, c):
@@ -259,10 +259,11 @@ class TestUnderflowGuard:
         with pytest.raises(PreconditionError, match="square underflows float64"):
             dependent_test(scaled_sample(1e-156)[1])
 
-    def test_user_bandwidth_that_underflows_raises(self, rng):
+    @pytest.mark.parametrize("sigma, word", [(1e-200, "underflows"), (1e200, "overflows")])
+    def test_user_bandwidth_out_of_range_raises(self, rng, sigma, word):
         s = Sample(rng.standard_normal((12, 2)))
-        with pytest.raises(PreconditionError, match="rescale the input"):
-            build_zero_diag_gram(s, KernelSpec(bandwidth=1e-200))
+        with pytest.raises(PreconditionError, match=f"square {word} float64; rescale the input"):
+            build_zero_diag_gram(s, KernelSpec(bandwidth=sigma))
 
 
 class TestMemoryGuard:

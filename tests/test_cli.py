@@ -68,9 +68,10 @@ class TestCmdTest:
         assert main(["test", x, y, z]) == 3
         assert "too large for squared distances" in capsys.readouterr().err
 
-    def test_underflowing_bandwidth_exit_3(self, capsys, xyz_files):
-        assert main(["test", *xyz_files, "--bandwidth-x", "1e-200"]) == 3
-        assert "square underflows float64" in capsys.readouterr().err
+    @pytest.mark.parametrize("sigma, word", [("1e-200", "underflows"), ("1e200", "overflows")])
+    def test_out_of_range_bandwidth_exit_3(self, capsys, xyz_files, sigma, word):
+        assert main(["test", *xyz_files, "--bandwidth-x", sigma]) == 3
+        assert f"square {word} float64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [1e160, 1e100])
     def test_overflowing_linear_estimate_exit_3(self, tmp_path, capsys, xyz_files, scale):
@@ -131,6 +132,16 @@ class TestCmdTest:
     def test_library_refusals_exit_2(self, capsys, xyz_files, flags, message):
         assert main(["test", *xyz_files, *flags]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--weights", "1"], ["--weights", "1,-1", "--alpha", "2"]]
+    )
+    def test_weights_and_alpha_checked_before_the_summary(self, tmp_path, capsys, xyz_files, flags):
+        # A constant input fails the summary with exit 3; bad weights or
+        # alpha must be refused first.
+        x, y, _ = xyz_files
+        c = write_sample(tmp_path / "c.csv", np.ones((120, 1)))
+        assert main(["test", x, c, y, "--pairs", "0-1,0-2", *flags]) == 2
 
     def test_kernel_and_bandwidth_flags(self, capsys, xyz_files):
         x, y, z = xyz_files
