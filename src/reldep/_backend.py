@@ -221,9 +221,10 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     m(m-1)/2 unordered pairs.  A fixed pseudo-random sample of pairs
     brackets both ranks (Floyd & Rivest 1975, "Expected time bounds for
     selection").  One pass over the upper distance tiles then counts the
-    pairs below the bracket and collects those inside it, and only those
-    are partitioned.  A bracket that misses a rank reruns the pass
-    unbounded, over the whole pool, so the result is exact either way.
+    pairs below the bracket and those tied with either edge, and collects
+    only those strictly inside it, which alone are partitioned.  A bracket
+    that misses a rank reruns the pass unbounded, over the whole pool, so
+    the result is exact either way.
     """
     found = _select_in_bracket(v, k1, k2, *_sample_bracket(v, k1, k2))
     return _select_in_bracket(v, k1, k2, -np.inf, np.inf) if found is None else found
@@ -271,8 +272,15 @@ def _sample_bracket(v: TileRows, k1: int, k2: int) -> tuple[float, float]:
 
 
 def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
-    """Pool order statistics k1 <= k2 if [lo, hi] (lo <= hi) holds both, else None."""
-    below = 0
+    """Pool order statistics k1 <= k2 if [lo, hi] (lo <= hi) holds both, else None.
+
+    One pass over the upper distance tiles counts the values below lo,
+    those equal to lo and those equal to hi, and collects only the values
+    strictly between.  A rank that lands on an edge is answered from the
+    counts, so ties at lo or hi cost no memory, however many there are.
+    The equality tests run on each tile's in-bracket values only.
+    """
+    below = at_lo = at_edges = 0
     inside = []
     out, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
     for i0, i1, j0, j1 in _tiles(v.m):
@@ -283,12 +291,22 @@ def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
         below += np.count_nonzero(low)
         keep = d2 <= hi
         keep ^= low  # v < lo implies v <= hi, so this is lo <= v <= hi
-        inside.append(d2[keep])
+        edge = d2[keep]
+        at_lo += np.count_nonzero(edge == lo)
+        strict = edge > lo
+        strict &= edge < hi
+        part = edge[strict]
+        at_edges += edge.size - part.size
+        inside.append(part)
     pool = np.concatenate(inside)
-    if not below <= k1 <= k2 < below + pool.size:
+    # at_edges - at_lo counts the values equal to hi; none when hi == lo.
+    if not below <= k1 <= k2 < below + pool.size + at_edges:
         return None
-    pool.partition(sorted({k1 - below, k2 - below}))
-    return float(pool[k1 - below]), float(pool[k2 - below])
+    ranks = [k - below - at_lo for k in (k1, k2)]
+    within = sorted({r for r in ranks if 0 <= r < pool.size})
+    if within:
+        pool.partition(within)
+    return tuple(float(lo if r < 0 else pool[r] if r < pool.size else hi) for r in ranks)
 
 
 def hsic_h_reductions(*variables: TileRows, pairs):

@@ -73,7 +73,6 @@ class HsicEstimate:
     value: float
     h_vector: np.ndarray
     m: int
-    pair_label: str = ""
 
     def __post_init__(self):
         h = np.ascontiguousarray(self.h_vector, dtype=np.float64)
@@ -145,7 +144,7 @@ def _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, pair_label) -> Hsi
         finite = np.isfinite(value * value) and np.isfinite(h @ h)
     if not finite:
         raise PreconditionError(f"HSIC estimate {pair_label} overflows float64; rescale the input")
-    return HsicEstimate(value=value, h_vector=h, m=m, pair_label=pair_label)
+    return HsicEstimate(value=value, h_vector=h, m=m)
 
 
 def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicEstimate:

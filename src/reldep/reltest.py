@@ -9,9 +9,11 @@ the sample so the two estimates are independent at the cost of half the
 data.  The generalized test handles any weighted combination v of n HSIC
 statistics by projecting their joint Gaussian onto v, with variance
 v'Cv; the dependent test is its case v = (1, -1).  Every test reads its
-p-value through one ``_verdict`` on (means, covariance, weights).  Every
-test streams its estimates from kernel tiles (``hsic_estimates``), so its
-memory is O(m) and no m x m matrix is allocated.
+p-value through one ``_verdict``, which projects a ``JointGaussianSummary``
+onto the weights, and the result keeps that summary as ``.summary``: the
+means and covariance behind the verdict.  Every test streams its
+estimates from kernel tiles (``hsic_estimates``), so its memory is O(m)
+and no m x m matrix is allocated.
 
 All p-values take the most conservative null, a zero difference, so the
 reported p is an upper bound over the composite null.
@@ -28,7 +30,6 @@ import numpy as np
 from reldep.dataset import JointSample, PreconditionError, Sample, split_half
 from reldep.hsic import (
     VARIANCE_FLOOR,
-    HsicEstimate,
     covariance_summary,
     hsic_estimates,
     variance_hsic,
@@ -75,7 +76,11 @@ def normal_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one relative dependency test."""
+    """Outcome of one relative dependency test.
+
+    ``summary`` is the joint Gaussian summary the verdict projected.  It
+    takes no part in ``==``, ``repr`` or ``to_dict()``.
+    """
 
     statistic: float
     std_dev: float
@@ -86,6 +91,7 @@ class TestResult:
     m: int
     small_m_warning: bool = False
     kernel_info: dict | None = None
+    summary: JointGaussianSummary | None = field(default=None, compare=False, repr=False)
 
     def warnings(self) -> list[str]:
         out = []
@@ -210,28 +216,27 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _verdict(
-    means: Sequence[float],
-    cov: np.ndarray,
+    summary: JointGaussianSummary,
     v: Sequence[float],
     alpha: float,
     method: str,
     m: int,
-    m_effective: int,
-    kernel_info: dict | None = None,
+    kernel_info: dict | None,
 ) -> TestResult:
-    """One-sided verdict on the projection v'means of a joint Gaussian.
+    """One-sided verdict on the projection v'means of a joint Gaussian summary.
 
     Its variance v'Cv is summed as the diagonal terms v_a^2 C_aa first,
     then twice the cross terms v_a v_b C_ab (a < b); for v = (1, -1) that
     is C_00 + C_11 - 2 C_01 to the bit.  It is floored at VARIANCE_FLOOR
-    times the largest v_a^2, so p does not depend on the scale of v.
-    ``m_effective`` is the size each estimate saw, which decides the
-    small-sample warning (half of m for the split test).
+    times the largest v_a^2, so p does not depend on the scale of v.  The
+    summary's m, the size each estimate saw, decides the small-sample
+    warning (half of m for the split test).
     """
     v = np.asarray(v, dtype=np.float64)
+    cov = summary.covariance
     upper = np.triu_indices(v.shape[0], 1)
     var = (v * v) @ np.diagonal(cov) + 2.0 * (np.outer(v, v)[upper] @ cov[upper])
-    statistic = float(v @ np.asarray(means, dtype=np.float64))
+    statistic = float(v @ summary.means)
     std = math.sqrt(max(float(var), VARIANCE_FLOOR * np.max(v * v)))
     p = normal_cdf(-statistic / std)
     return TestResult(
@@ -242,8 +247,9 @@ def _verdict(
         reject_null=p < alpha,
         method=method,
         m=m,
-        small_m_warning=m_effective < SMALL_M_THRESHOLD,
+        small_m_warning=summary.m < SMALL_M_THRESHOLD,
         kernel_info=kernel_info,
+        summary=summary,
     )
 
 
@@ -268,38 +274,7 @@ def dependent_test(
         raise PreconditionError("relative test needs all three variables x, y, z")
     summary = joint_summary(j, ((0, 1), (0, 2)), kernel_config)
     info = dict(zip("xyz", summary.kernel_info.values()))
-    return _verdict(
-        summary.means, summary.covariance, _DIFFERENCE, alpha, DEPENDENT, j.m, j.m, info
-    )
-
-
-def _independent(
-    j: JointSample,
-    kernel_config: KernelConfig | None,
-    alpha: float,
-    shuffle_seed: int | None,
-) -> tuple[TestResult, list[HsicEstimate]]:
-    """``independent_test`` plus its half-sample estimates.
-
-    (x', y') come from one half, (x'', z'') from the other, both from one
-    sweep over the tiles.  Bandwidth heuristics are resolved per half, so
-    the two statistics share nothing at all.
-    """
-    _check_alpha(alpha)
-    cfg = kernel_config or KernelConfig()
-    first, second = split_half(j, shuffle_seed=shuffle_seed)
-    halves = ((first.x, cfg.x), (first.y, cfg.y), (second.x, cfg.x), (second.y, cfg.z))
-    rx1, ry, rx2, rz = (kernel_rows(s, spec) for s, spec in halves)
-    e_xy, e_xz = hsic_estimates([rx1, ry, rx2, rz], [(0, 1), (2, 3)], ["X'Y'", "X''Z''"])
-    info = {
-        "x": {"family": cfg.x.family, "bandwidth": [rx1.sigma, rx2.sigma]},
-        "y": kernel_info(cfg.y, ry),
-        "z": kernel_info(cfg.z, rz),
-    }
-    cov = np.diag([variance_hsic(e_xy), variance_hsic(e_xz)])  # the halves share nothing
-    means = (e_xy.value, e_xz.value)
-    result = _verdict(means, cov, _DIFFERENCE, alpha, INDEPENDENT, j.m, j.m // 2, info)
-    return result, [e_xy, e_xz]
+    return _verdict(summary, _DIFFERENCE, alpha, DEPENDENT, j.m, info)
 
 
 def independent_test(
@@ -309,8 +284,30 @@ def independent_test(
     *,
     shuffle_seed: int | None = None,
 ) -> TestResult:
-    """Baseline relative test on two disjoint half samples."""
-    return _independent(j, kernel_config, alpha, shuffle_seed)[0]
+    """Baseline relative test on two disjoint half samples.
+
+    (x', y') come from one half, (x'', z'') from the other, both from one
+    sweep over the tiles.  Bandwidth heuristics are resolved per half, so
+    the two statistics share nothing at all: the summary's covariance is
+    diagonal, and its m is the half size.
+    """
+    _check_alpha(alpha)
+    cfg = kernel_config or KernelConfig()
+    first, second = split_half(j, shuffle_seed=shuffle_seed)
+    halves = ((first.x, cfg.x), (first.y, cfg.y), (second.x, cfg.x), (second.y, cfg.z))
+    rx1, ry, rx2, rz = (kernel_rows(s, spec) for s, spec in halves)
+    e_xy, e_xz = hsic_estimates([rx1, ry, rx2, rz], [(0, 1), (2, 3)], ["X'Y'", "X''Z''"])
+    summary = JointGaussianSummary(
+        means=np.array([e_xy.value, e_xz.value]),
+        covariance=np.diag([variance_hsic(e_xy), variance_hsic(e_xz)]),
+        m=j.m // 2,
+    )
+    info = {
+        "x": {"family": cfg.x.family, "bandwidth": [rx1.sigma, rx2.sigma]},
+        "y": kernel_info(cfg.y, ry),
+        "z": kernel_info(cfg.z, rz),
+    }
+    return _verdict(summary, _DIFFERENCE, alpha, INDEPENDENT, j.m, info)
 
 
 def check_weights(v: Sequence[float], n: int, alpha: float = 0.05) -> np.ndarray:
@@ -401,13 +398,4 @@ def generalized_test(
     the bit.
     """
     v = check_weights(v, summary.n, alpha)
-    return _verdict(
-        summary.means,
-        summary.covariance,
-        v,
-        alpha,
-        GENERALIZED,
-        summary.m,
-        summary.m,
-        summary.kernel_info,
-    )
+    return _verdict(summary, v, alpha, GENERALIZED, summary.m, summary.kernel_info)

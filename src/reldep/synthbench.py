@@ -29,13 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from reldep.dataset import JointSample, Sample
-from reldep.reltest import (
-    _independent,
-    dependent_test,
-    generalized_test,
-    independent_test,
-    joint_summary,
-)
+from reldep.reltest import dependent_test, independent_test
 
 __all__ = [
     "SynthConfig",
@@ -201,15 +195,14 @@ def calibration(
 def _scatter_trial(args) -> ScatterTrial:
     cfg, alpha, t = args
     j = sample_synthetic(cfg)
-    summary = joint_summary(j, ((0, 1), (0, 2)))
-    rd = generalized_test(summary, (1.0, -1.0), alpha)
-    ri, (h_xy, h_xz) = _independent(j, None, alpha, None)
+    rd = dependent_test(j, alpha=alpha)
+    ri = independent_test(j, alpha=alpha)
     return ScatterTrial(
         trial=t,
-        hsic_xy=float(summary.means[0]),
-        hsic_xz=float(summary.means[1]),
-        hsic_xy_half=h_xy.value,
-        hsic_xz_half=h_xz.value,
+        hsic_xy=float(rd.summary.means[0]),
+        hsic_xz=float(rd.summary.means[1]),
+        hsic_xy_half=float(ri.summary.means[0]),
+        hsic_xz_half=float(ri.summary.means[1]),
         p_dep=rd.p_value,
         p_indep=ri.p_value,
     )

@@ -203,6 +203,23 @@ class TestExactSelection:
         assert calls == [(k1, k2, *miss), (k1, k2, -np.inf, np.inf)]
 
 
+class TestTiedMedianMemory:
+    def test_binary_peak_stays_near_gaussian(self, rng):
+        # Half the pairs of a balanced binary column tie at 0 and half at 1.
+        m = 4000
+        binary = Sample(rng.permutation(np.repeat([0.0, 1.0], m // 2))[:, None])
+        gaussian = Sample(rng.standard_normal((m, 1)))
+        peaks = []
+        for s in (binary, gaussian):
+            tracemalloc.start()
+            try:
+                median_heuristic(s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * peaks[1]
+
+
 class TestOverflowGuard:
     """Inputs whose squared norms would overflow the expansion are refused."""
 

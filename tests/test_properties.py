@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from reldep import _backend
 from reldep.dataset import Sample, align
 from reldep.reltest import dependent_test, generalized_test, joint_summary
 from reldep.synthbench import SynthConfig, sample_synthetic
@@ -91,3 +93,26 @@ def test_weight_scaling_scales_statistic_keeps_p(seed, m, weights, c):
     b = generalized_test(summary, [c * w for w in weights])
     assert b.statistic == pytest.approx(c * a.statistic, rel=1e-12)
     assert b.p_value == pytest.approx(a.p_value, rel=1e-12)
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    x=arrays(np.float64, st.tuples(st.integers(2, 80), st.integers(1, 2)),
+             elements=st.integers(0, 3).map(float)),
+)
+def test_order_stats_on_heavy_ties_match_partition(data, x):
+    # Small integers: every squared distance is an exact small integer.
+    m = x.shape[0]
+    pool = ((x[:, None] - x[None]) ** 2).sum(axis=-1)[np.triu_indices(m, 1)]
+    k1 = data.draw(st.integers(0, pool.size - 1))
+    k2 = data.draw(st.integers(k1, pool.size - 1))
+    part = np.partition(pool, sorted({k1, k2}))
+    want = (part[k1], part[k2])
+    rows = _backend.distance_rows(x)
+    assert _backend.sq_distance_order_stats(rows, k1, k2) == want
+    # Any bracket, ties on its edges included: exact when it holds both ranks.
+    edges = [-np.inf, *np.unique(pool), np.inf]
+    lo, hi = sorted(data.draw(st.sampled_from(edges)) for _ in range(2))
+    holds = np.count_nonzero(pool < lo) <= k1 and k2 < np.count_nonzero(pool <= hi)
+    assert _backend._select_in_bracket(rows, k1, k2, lo, hi) == (want if holds else None)

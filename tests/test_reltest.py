@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,6 +189,51 @@ class TestIndependentTest:
         assert a.statistic != b.statistic
         c = independent_test(j, shuffle_seed=3)
         assert b.statistic == c.statistic
+
+
+class TestResultSummary:
+    """Every result keeps the joint summary its verdict projected."""
+
+    KEYS = ["method", "statistic", "std_dev", "p_value", "alpha", "reject_null", "m",
+            "kernel", "warnings"]
+
+    def test_dependent_summary_is_the_joint_summary(self):
+        j = synthetic_joint(seed=4)
+        got = dependent_test(j).summary
+        want = joint_summary(j, ((0, 1), (0, 2)))
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.covariance.tobytes() == want.covariance.tobytes()
+        assert got.m == j.m
+
+    def test_split_summary_is_diagonal_over_the_half_size(self):
+        j = synthetic_joint(m=201)
+        res = independent_test(j)
+        cov = res.summary.covariance
+        assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
+        assert res.summary.m == j.m // 2 == 100
+        assert res.m == 201
+        assert res.statistic == res.summary.means[0] - res.summary.means[1]
+        assert res.std_dev == math.sqrt(cov[0, 0] + cov[1, 1])
+
+    def test_generalized_keeps_the_summary_it_was_given(self):
+        summary = joint_summary(synthetic_joint(), [(0, 1), (0, 2), (1, 2)])
+        assert generalized_test(summary, [1.0, 1.0, -2.0]).summary is summary
+
+    def test_to_dict_keys_unchanged(self):
+        j = synthetic_joint()
+        summary = joint_summary(j, [(0, 1), (0, 2)])
+        for res in (dependent_test(j), independent_test(j), generalized_test(summary, [1, -1])):
+            assert list(res.to_dict()) == self.KEYS
+
+    def test_replace_and_equality_ignore_the_summary(self):
+        j = synthetic_joint()
+        res = dependent_test(j)
+        assert res == dependent_test(j)
+        assert dataclasses.replace(res, summary=None) == res
+        moved = dataclasses.replace(res, statistic=res.statistic * 2)
+        assert moved != res
+        assert moved.summary is res.summary
+        assert "summary" not in repr(res)
 
 
 class TestJointSummaryAndGeneralized:

@@ -23,9 +23,9 @@ from pathlib import Path
 WORKLOADS = ("dep-m3200", "power-m500", "groups-m1000")
 LAYERS = tuple(
     f"backend.{fn}.{field}"
-    for fn in ("pairwise_sq_dists", "sq_distance_order_stats", "hsic_h_reductions")
+    for fn in ("sq_distance_order_stats", "hsic_h_reductions")
     for field in ("calls", "self_ms")
-) + ("kernels.build_zero_diag_gram.self_ms", "kernels.dists_per_gram", "trace.traced_ms_per_op")
+) + ("hsic.covariance_summary.self_ms", "trace.traced_ms_per_op")
 
 
 def seed_list(text):
