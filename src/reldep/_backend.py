@@ -223,17 +223,21 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     selection").  One pass over the upper distance tiles then counts the
     pairs below the bracket and those tied with either edge, and collects
     only those strictly inside it, which alone are partitioned.  A bracket
-    that misses a rank reruns the pass unbounded, over the whole pool, so
-    the result is exact either way.
+    that misses a rank is drawn again from a sample four times larger,
+    under another fixed seed; only if that misses too does the pass rerun
+    unbounded, over the whole pool.  The result is exact either way.
     """
-    found = _select_in_bracket(v, k1, k2, *_sample_bracket(v, k1, k2))
-    return _select_in_bracket(v, k1, k2, -np.inf, np.inf) if found is None else found
+    for attempt in range(2):
+        found = _select_in_bracket(v, k1, k2, *_sample_bracket(v, k1, k2, attempt))
+        if found is not None:
+            return found
+    return _select_in_bracket(v, k1, k2, -np.inf, np.inf)
 
 
 @lru_cache(maxsize=4)
-def _sample_pairs(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_pairs(m: int, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows (i, j), i < j, of ``size`` pairs drawn with a fixed seed."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     i = rng.integers(0, m, size=size)
     j = rng.integers(0, m - 1, size=size)
     j += j >= i  # uniform over the other m - 1 rows
@@ -243,19 +247,20 @@ def _sample_pairs(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _sample_bracket(v: TileRows, k1: int, k2: int) -> tuple[float, float]:
+def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[float, float]:
     """Values [lo, hi] that bracket pool ranks k1 <= k2 with high probability.
 
-    Takes n^(2/3) sampled pairs of the n-pair pool and reads the sample's
-    order statistics at the scaled ranks, widened by about five standard
-    deviations of a sample rank; a bracket edge beyond the sample is
-    infinite.  The sampled distances are taken directly, in chunks; the
-    bracket only bounds the pass, so their last bits do not matter.
+    Takes 4^attempt n^(2/3) pairs of the n-pair pool, drawn with the seed
+    ``attempt``, and reads the sample's order statistics at the scaled
+    ranks, widened by about five standard deviations of a sample rank; a
+    bracket edge beyond the sample is infinite.  The sampled distances are
+    taken directly, in chunks; the bracket only bounds the pass, so their
+    last bits do not matter.
     """
     m = v.m
     n = m * (m - 1) // 2
-    size = int(n ** (2.0 / 3.0))
-    rows_i, rows_j = _sample_pairs(m, size)
+    size = int(n ** (2.0 / 3.0)) * 4**attempt
+    rows_i, rows_j = _sample_pairs(m, size, attempt)
     sample = np.empty(size)
     for c in range(0, size, _SAMPLE_CHUNK):
         diff = v.x[rows_i[c : c + _SAMPLE_CHUNK]] - v.x[rows_j[c : c + _SAMPLE_CHUNK]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -125,30 +126,30 @@ def _kernel_config(args) -> KernelConfig:
     )
 
 
-def _result_csv(payload: dict) -> str:
-    flat = {
-        k: (json.dumps(v) if isinstance(v, (dict, list)) else v)
-        for k, v in payload.items()
-    }
+def _csv_cell(value):
+    if isinstance(value, float):
+        return repr(float(value))  # the shortest digits that round-trip
+    return json.dumps(value) if isinstance(value, (dict, list)) else value
+
+
+def _csv_text(rows: list[dict]) -> str:
+    """CSV of ``rows`` under a header of the first row's keys.
+
+    Floats are written in their shortest round-trip form and dicts and
+    lists as JSON; the csv module writes the rest (None as an empty cell).
+    """
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(flat))
-    writer.writeheader()
-    writer.writerow(flat)
+    writer = csv.writer(buf)
+    writer.writerow(rows[0])
+    writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
     return buf.getvalue()
 
 
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        text = _result_csv(payload)
-        sys.stdout.write(text)
-    else:
-        text = json.dumps(payload, indent=2)
-        sys.stdout.write(text + "\n")
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+    text = json.dumps(payload, indent=2) + "\n"
+    sys.stdout.write(_csv_text([payload]) if args.format == "csv" else text)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 def _load_inputs(paths, args):
@@ -213,27 +214,40 @@ def cmd_hsic(args) -> int:
     return EXIT_OK
 
 
-def _base_config(args, gamma3: float | None = None) -> synthbench.SynthConfig:
+def _base_config(args, m: int, gamma3: float) -> synthbench.SynthConfig:
     return synthbench.SynthConfig(
-        m=args.m,
+        m=m,
         gamma1=args.gamma1,
         gamma2=args.gamma2,
-        gamma3=args.gamma2 if gamma3 is None else gamma3,
+        gamma3=gamma3,
         seed=_default_seed(args.seed),
     )
 
 
-def _write_experiment(args, stem: str, rows, fields, summary: dict) -> int:
-    """Write ``<stem>.csv`` (rows) and ``<stem>.json`` (summary) and print it.
+def _write_experiment(args, experiment: str, size, seed: int, records, **extra) -> int:
+    """Write the records and the summary of one experiment, and print it.
 
-    The files go to ``--out`` (default: the current directory); the JSON
-    summary gains the CSV's path as its last key.
+    ``size`` is the sample size m, or the list of sizes of a grid.  The
+    files ``<experiment>_<m>_<seed>.csv`` and ``.json`` go to ``--out``
+    (default: the current directory); m is the largest size of a grid.
+    The CSV has one row per record (a dataclass or a dict) with its fields
+    as columns.  The summary holds experiment, m (or m_grid), seed, then
+    ``extra`` in order, then the CSV's path.
     """
+    grid = isinstance(size, list)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
+    stem = f"{experiment}_{max(size) if grid else size}_{seed}"
     csv_path = out / f"{stem}.csv"
-    synthbench.write_rows_csv(csv_path, rows, fields)
-    summary["csv"] = str(csv_path)
+    rows = [r if isinstance(r, dict) else dataclasses.asdict(r) for r in records]
+    csv_path.write_text(_csv_text(rows), encoding="utf-8", newline="")
+    summary = {
+        "experiment": experiment,
+        "m_grid" if grid else "m": size,
+        "seed": seed,
+        **extra,
+        "csv": str(csv_path),
+    }
     (out / f"{stem}.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
@@ -243,103 +257,55 @@ def _write_experiment(args, stem: str, rows, fields, summary: dict) -> int:
 
 def cmd_power(args) -> int:
     grid = _parse_grid(args.gamma3)
-    base = _base_config(args)
+    base = _base_config(args, args.m, args.gamma2)
     table = synthbench.power_curve(
         grid, base, trials=args.trials, alpha=args.alpha, jobs=args.jobs
     )
-    summary = {
-        "experiment": "power",
-        "m": args.m,
-        "seed": base.seed,
-        "trials": args.trials,
-        "alpha": args.alpha,
-        "rows": len(table.rows),
-    }
     return _write_experiment(
-        args,
-        synthbench.output_basename("power", args.m, base.seed),
-        table.rows,
-        ["gamma3", "power_dependent", "power_independent", "trials", "alpha", "m"],
-        summary,
+        args, "power", args.m, base.seed, table.rows,
+        trials=args.trials, alpha=args.alpha, rows=len(table.rows),
     )
 
 
 def cmd_calibrate(args) -> int:
-    base = _base_config(args)
+    base = _base_config(args, args.m, args.gamma2)
     rate = synthbench.calibration(
         base, trials=args.trials, alpha=args.alpha, jobs=args.jobs
     )
-    row = argparse.Namespace(
-        m=args.m, trials=args.trials, alpha=args.alpha, rejection_rate=rate
-    )
-    summary = {
-        "experiment": "calibrate",
-        "m": args.m,
-        "seed": base.seed,
-        "trials": args.trials,
-        "alpha": args.alpha,
-        "rejection_rate": rate,
-    }
+    row = {"m": args.m, "trials": args.trials, "alpha": args.alpha, "rejection_rate": rate}
     return _write_experiment(
-        args,
-        synthbench.output_basename("calibrate", args.m, base.seed),
-        [row],
-        ["m", "trials", "alpha", "rejection_rate"],
-        summary,
+        args, "calibrate", args.m, base.seed, [row],
+        trials=args.trials, alpha=args.alpha, rejection_rate=rate,
     )
 
 
 def cmd_scatter(args) -> int:
-    cfg = _base_config(args, gamma3=args.gamma3)
+    cfg = _base_config(args, args.m, args.gamma3)
     records = synthbench.scatter_experiment(
         cfg, trials=args.trials, alpha=args.alpha, jobs=args.jobs
     )
-    summary = {
-        "experiment": "scatter",
-        "m": args.m,
-        "seed": cfg.seed,
-        "gamma3": args.gamma3,
-        "trials": args.trials,
-        "median_p_dep": float(np.median([r.p_dep for r in records])),
-        "median_p_indep": float(np.median([r.p_indep for r in records])),
-    }
     return _write_experiment(
-        args,
-        synthbench.output_basename("scatter", args.m, cfg.seed),
-        records,
-        ["trial", "hsic_xy", "hsic_xz", "hsic_xy_half", "hsic_xz_half", "p_dep", "p_indep"],
-        summary,
+        args, "scatter", args.m, cfg.seed, records,
+        gamma3=args.gamma3,
+        trials=args.trials,
+        median_p_dep=float(np.median([r.p_dep for r in records])),
+        median_p_indep=float(np.median([r.p_indep for r in records])),
     )
 
 
 def cmd_converge(args) -> int:
     grid = _parse_int_list(args.m_grid)
-    cfg = synthbench.SynthConfig(
-        m=grid[0],
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        gamma3=args.gamma3,
-        seed=_default_seed(args.seed),
-    )
+    cfg = _base_config(args, grid[0], args.gamma3)
     points = synthbench.convergence_diagnostic(
         grid, cfg, trials=args.trials, jobs=args.jobs
     )
     logs = np.log([p.m for p in points])
     logd = np.log([p.median_abs_dev for p in points])
-    summary = {
-        "experiment": "converge",
-        "m_grid": grid,
-        "seed": cfg.seed,
-        "gamma3": args.gamma3,
-        "trials": args.trials,
-        "loglog_slope": float(np.polyfit(logs, logd, 1)[0]),
-    }
     return _write_experiment(
-        args,
-        synthbench.output_basename("converge", max(grid), cfg.seed),
-        points,
-        ["m", "median_abs_dev"],
-        summary,
+        args, "converge", grid, cfg.seed, points,
+        gamma3=args.gamma3,
+        trials=args.trials,
+        loglog_slope=float(np.polyfit(logs, logd, 1)[0]),
     )
 
 

@@ -138,7 +138,9 @@ class JointGaussianSummary:
             raise ValueError("summary needs at least two statistics")
         if cov.shape != (n, n):
             raise ValueError("covariance shape does not match means")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
+        if not (np.isfinite(means).all() and np.isfinite(cov).all()):
+            raise ValueError("summary means and covariance must be finite")
+        if np.abs(cov - cov.T).max() > 1e-12:
             raise ValueError("covariance must be symmetric")
         eigmin = float(np.linalg.eigvalsh(cov)[0])
         scale = max(1.0, float(np.abs(cov).max()))

@@ -16,14 +16,15 @@ Every experiment is a pure function of its config: per-trial RNG streams
 are derived by hashing (seed, indices) through a seed sequence, so trials
 are independent, reproducible and order-insensitive, and can run in
 parallel worker processes.
+
+The experiments return records (dataclasses) and write no files; the
+command-line interface decides every output file and its format.
 """
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,8 +43,6 @@ __all__ = [
     "calibration",
     "scatter_experiment",
     "convergence_diagnostic",
-    "output_basename",
-    "write_rows_csv",
 ]
 
 
@@ -252,28 +251,3 @@ def convergence_diagnostic(
             ConvergencePoint(m=m, median_abs_dev=float(np.median(np.abs(deltas - delta_pop))))
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# File output.
-# ---------------------------------------------------------------------------
-
-
-def output_basename(experiment: str, m: int, seed: int) -> str:
-    """Canonical stem for experiment output files."""
-    return f"{experiment}_{m}_{seed}"
-
-
-def _cell(value) -> str:
-    # repr gives the shortest digits that round-trip exactly
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def write_rows_csv(path, rows: Sequence, fieldnames: Sequence[str]) -> None:
-    """Write dataclass-like records as CSV with a header row."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_cell(getattr(row, f)) for f in fieldnames])

@@ -183,7 +183,7 @@ class TestExactSelection:
             assert pool[np.searchsorted(pool, hi, side="right") - 2] == hi  # so is hi
             assert _backend._select_in_bracket(rows, k1, k2, lo, hi) == (pool[k1], pool[k2])
 
-    def test_bracket_miss_reruns_unbounded(self, rng, monkeypatch):
+    def test_every_bracket_miss_falls_back_to_the_whole_pool(self, rng, monkeypatch):
         x = rng.standard_normal((200, 2))
         rows = _backend.distance_rows(x)
         pool = sorted_pool(_backend.pairwise_sq_dists(x))
@@ -200,7 +200,41 @@ class TestExactSelection:
         monkeypatch.setattr(_backend, "_sample_bracket", lambda *args: miss)
         monkeypatch.setattr(_backend, "_select_in_bracket", spy)
         assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
-        assert calls == [(k1, k2, *miss), (k1, k2, -np.inf, np.inf)]
+        assert calls == [(k1, k2, *miss), (k1, k2, *miss), (k1, k2, -np.inf, np.inf)]
+
+
+class TestBracketMissMemory:
+    def test_first_miss_retries_within_twice_the_no_miss_peak(self, rng, monkeypatch):
+        # The first bracket is pinned to its own upper edge, so it misses
+        # the lower rank; the retry must draw a finite bracket, not rerun
+        # over the whole pool.
+        s = Sample(rng.standard_normal((4000, 1)))
+        sample_bracket, select = _backend._sample_bracket, _backend._select_in_bracket
+        calls = []
+
+        def first_misses(*args):
+            lo, hi = sample_bracket(*args)
+            return (hi, hi) if not calls else (lo, hi)
+
+        def spy(v, k1, k2, lo, hi):
+            calls.append((lo, hi, select(v, k1, k2, lo, hi)))
+            return calls[-1][2]
+
+        sigmas, peaks = [], []
+        for forced in (False, True):
+            if forced:
+                monkeypatch.setattr(_backend, "_sample_bracket", first_misses)
+                monkeypatch.setattr(_backend, "_select_in_bracket", spy)
+            tracemalloc.start()
+            try:
+                sigmas.append(median_heuristic(s))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert [c[2] is None for c in calls] == [True, False]
+        assert np.isfinite(calls[1][:2]).all()
+        assert sigmas[1] == sigmas[0]
+        assert peaks[1] <= 2 * peaks[0]
 
 
 class TestTiedMedianMemory:

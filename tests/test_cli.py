@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from reldep.cli import main
+from reldep.cli import _csv_text, main
 from reldep.dataset import Sample, save_csv
-from reldep.synthbench import SynthConfig, sample_synthetic
+from reldep.synthbench import ConvergencePoint, SynthConfig, sample_synthetic
 
 
 def write_sample(path, data, label="s"):
@@ -233,11 +234,12 @@ class TestExperimentCommands:
         )
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
+        assert list(summary) == ["experiment", "m", "seed", "trials", "alpha", "rows", "csv"]
         assert summary["rows"] == 14
         csv_lines = (tmp_path / "power_64_5.csv").read_text().splitlines()
         assert len(csv_lines) == 15  # header + 14 grid points
         assert csv_lines[0] == "gamma3,power_dependent,power_independent,trials,alpha,m"
-        assert (tmp_path / "power_64_5.json").exists()
+        assert json.loads((tmp_path / "power_64_5.json").read_text()) == summary
 
     def test_power_empty_grid_exit_2(self, tmp_path, capsys):
         code = main(
@@ -272,8 +274,12 @@ class TestExperimentCommands:
         )
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
+        assert list(summary) == [
+            "experiment", "m", "seed", "trials", "alpha", "rejection_rate", "csv"
+        ]
         assert 0.0 <= summary["rejection_rate"] <= 1.0
-        assert (tmp_path / "calibrate_64_2.csv").exists()
+        lines = (tmp_path / "calibrate_64_2.csv").read_text().splitlines()
+        assert lines == ["m,trials,alpha,rejection_rate", f"64,5,0.05,{summary['rejection_rate']!r}"]
 
     def test_scatter(self, tmp_path, capsys):
         code = main(
@@ -292,8 +298,12 @@ class TestExperimentCommands:
             ]
         )
         assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert list(summary) == [
+            "experiment", "m", "seed", "gamma3", "trials", "median_p_dep", "median_p_indep", "csv"
+        ]
         lines = (tmp_path / "scatter_64_3.csv").read_text().splitlines()
-        assert lines[0].split(",")[:3] == ["trial", "hsic_xy", "hsic_xz"]
+        assert lines[0] == "trial,hsic_xy,hsic_xz,hsic_xy_half,hsic_xz_half,p_dep,p_indep"
         assert len(lines) == 5
 
     def test_converge(self, tmp_path, capsys):
@@ -312,8 +322,13 @@ class TestExperimentCommands:
         )
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
-        assert "loglog_slope" in summary
-        assert (tmp_path / "converge_64_8.csv").exists()
+        assert list(summary) == [
+            "experiment", "m_grid", "seed", "gamma3", "trials", "loglog_slope", "csv"
+        ]
+        assert summary["m_grid"] == [16, 32, 64]
+        lines = (tmp_path / "converge_64_8.csv").read_text().splitlines()
+        assert lines[0] == "m,median_abs_dev"
+        assert [line.split(",")[0] for line in lines[1:]] == ["16", "32", "64"]
 
     def test_converge_single_point_exit_2(self, tmp_path, capsys):
         code = main(
@@ -347,3 +362,15 @@ class TestExperimentCommands:
 
     def test_usage_error_exit_2(self, capsys):
         assert main(["power", "--m", "64", "--trials", "2"]) == 2
+
+
+class TestCsvWriter:
+    def test_round_trip_text(self):
+        rows = [dataclasses.asdict(ConvergencePoint(m=10, median_abs_dev=0.125))]
+        text = _csv_text(rows)
+        assert text.splitlines()[0] == "m,median_abs_dev"
+        assert text.splitlines()[1] == "10,0.125"
+
+    def test_cell_rules(self):
+        row = {"f": 0.1, "d": {"k": 1}, "l": [1.5], "n": None, "b": True, "s": "a,b"}
+        assert _csv_text([row]) == 'f,d,l,n,b,s\r\n0.1,"{""k"": 1}",[1.5],,True,"a,b"\r\n'

@@ -363,6 +363,20 @@ class TestJointSummaryAndGeneralized:
         with pytest.raises(ValueError, match="at least two"):
             JointGaussianSummary(np.zeros(1), np.eye(1), m=10)
 
+    @pytest.mark.parametrize(
+        "means, cov",
+        [
+            ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            ([np.inf, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+        ],
+        ids=["nan-mean", "inf-mean", "inf-variance", "nan-covariance"],
+    )
+    def test_summary_refuses_non_finite(self, means, cov):
+        with pytest.raises(ValueError, match="must be finite"):
+            JointGaussianSummary(np.array(means), np.array(cov), m=10)
+
 
 class TestPValueMonotonicity:
     def test_p_decreases_in_statistic(self):

@@ -4,7 +4,6 @@ import pytest
 from reldep.hsic import hsic_estimate
 from reldep.kernels import KernelSpec, build_zero_diag_gram
 from reldep.synthbench import (
-    ConvergencePoint,
     SynthConfig,
     calibration,
     convergence_diagnostic,
@@ -12,7 +11,6 @@ from reldep.synthbench import (
     sample_synthetic,
     scatter_experiment,
     trial_config,
-    write_rows_csv,
 )
 
 
@@ -171,13 +169,3 @@ class TestConvergenceDiagnostic:
         pts = convergence_diagnostic([16, 32, 64], c, trials=6)
         assert [p.m for p in pts] == [16, 32, 64]
         assert all(p.median_abs_dev >= 0 for p in pts)
-
-
-class TestCsvWriter:
-    def test_round_trip_text(self, tmp_path):
-        rows = [ConvergencePoint(m=10, median_abs_dev=0.125)]
-        path = tmp_path / "out.csv"
-        write_rows_csv(path, rows, ["m", "median_abs_dev"])
-        text = path.read_text()
-        assert text.splitlines()[0] == "m,median_abs_dev"
-        assert text.splitlines()[1] == "10,0.125"

@@ -18,7 +18,8 @@ the same file names.
 
 ``--diff`` counts the changed lines per kind and reports the largest
 absolute change of each float field (hex fields, and JSON number lines of
-the CLI output).
+the CLI output).  It exits with 1 when any line changed or the line counts
+differ, and with 0 when the two dumps are identical.
 """
 
 import contextlib
@@ -157,7 +158,8 @@ def _fields(line):
     return kind, out
 
 
-def diff(base_path, change_path):
+def diff(base_path, change_path) -> int:
+    """Print the changes per kind; 1 if the dumps differ, else 0."""
     base = Path(base_path).read_text().splitlines()
     change = Path(change_path).read_text().splitlines()
     if len(base) != len(change):
@@ -177,11 +179,12 @@ def diff(base_path, change_path):
         deltas = " ".join(f"max|d{n}|={d:.2e}" for (k, n), d in sorted(worst.items())
                           if k == kind)
         print(f"{kind}: {changed} of {total} lines changed {deltas}".rstrip())
+    return int(len(base) != len(change) or any(c for _, c in counts.values()))
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--diff":
-        diff(sys.argv[2], sys.argv[3])
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
     elif len(sys.argv) == 2:
         dump(sys.argv[1])
     else:
