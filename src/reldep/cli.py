@@ -45,10 +45,8 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage error found by the CLI itself (exit 2)."""
 
 
 def _default_seed(value) -> int:
@@ -63,67 +61,45 @@ def _default_seed(value) -> int:
     return 0
 
 
-def _parse_weights(text: str) -> list[float]:
+def _parse_list(text: str, what: str, item=float, *, blanks: bool = False) -> list:
+    """The comma-separated items of ``text``, each converted by ``item``.
+
+    Blank items are skipped unless ``blanks`` hands them to ``item`` too.
+    """
     try:
-        weights = [float(w) for w in text.split(",") if w.strip() != ""]
+        values = [item(p) for p in text.split(",") if blanks or p.strip() != ""]
     except ValueError:
-        raise CliError(f"cannot parse weights {text!r}")
-    return weights
+        raise CliError(f"cannot parse {what} {text!r}")
+    if not values:
+        raise CliError(f"{what} is empty")
+    return values
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for item in text.split(","):
-        parts = item.split("-")
-        if len(parts) != 2:
-            raise CliError(f"cannot parse pair {item!r} (expected like 0-1)")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise CliError(f"cannot parse pair {item!r} (expected like 0-1)")
-    return pairs
+def _pair(item: str) -> tuple[int, int]:
+    a, b = item.split("-")  # ValueError unless exactly one dash
+    return int(a), int(b)
 
 
 def _parse_grid(text: str) -> list[float]:
     """start:step:stop inclusive grid, or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError(f"grid {text!r} must be start:step:stop")
-        try:
-            start, step, stop = (float(p) for p in parts)
-        except ValueError:
-            raise CliError(f"cannot parse grid {text!r}")
-        if step <= 0 or stop < start:
-            raise CliError(f"grid {text!r} must have step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        grid = [start + i * step for i in range(count)]
-        return [g for g in grid if g <= stop + 1e-12]
+    if ":" not in text:
+        return _parse_list(text, "grid")
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise CliError(f"grid {text!r} must be start:step:stop")
     try:
-        grid = [float(p) for p in text.split(",") if p.strip() != ""]
+        start, step, stop = (float(p) for p in parts)
     except ValueError:
         raise CliError(f"cannot parse grid {text!r}")
-    if not grid:
-        raise CliError("grid is empty")
-    return grid
+    if step <= 0 or stop < start:
+        raise CliError(f"grid {text!r} must have step > 0 and stop >= start")
+    count = int(round((stop - start) / step)) + 1
+    grid = [start + i * step for i in range(count)]
+    return [g for g in grid if g <= stop + 1e-12]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        values = [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise CliError(f"cannot parse integer list {text!r}")
-    if not values:
-        raise CliError("list is empty")
-    return values
-
-
-def _kernel_config(args) -> KernelConfig:
-    return KernelConfig(
-        x=KernelSpec(family=args.kernel_x, bandwidth=args.bandwidth_x),
-        y=KernelSpec(family=args.kernel_y, bandwidth=args.bandwidth_y),
-        z=KernelSpec(family=args.kernel_z, bandwidth=args.bandwidth_z),
-    )
+def _spec(args, var: str) -> KernelSpec:
+    return KernelSpec(getattr(args, f"kernel_{var}"), getattr(args, f"bandwidth_{var}"))
 
 
 def _csv_cell(value):
@@ -152,12 +128,8 @@ def _emit(payload: dict, args) -> None:
         Path(args.out).write_text(text, encoding="utf-8")
 
 
-def _load_inputs(paths, args):
-    delimiter = args.delimiter
-    has_header = args.header
-    return [
-        load_csv(p, delimiter=delimiter, has_header=has_header) for p in paths
-    ]
+def _load_inputs(args) -> list:
+    return [load_csv(p, delimiter=args.delimiter, has_header=args.header) for p in args.inputs]
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +137,26 @@ def _load_inputs(paths, args):
 # ---------------------------------------------------------------------------
 
 
+def _check_route(args) -> None:
+    """Refuse the ``test`` flags that the chosen route would ignore."""
+    if args.seed is not None and not args.shuffle_split:
+        raise CliError("--seed applies only with --shuffle-split")
+    if args.shuffle_split and args.method != "independent":
+        raise CliError("--shuffle-split applies only with --method independent")
+    if (args.pairs or args.weights) and args.method is not None:
+        raise CliError("--method does not apply with --pairs/--weights")
+
+
 def cmd_test(args) -> int:
-    samples = _load_inputs(args.inputs, args)
-    config = _kernel_config(args)
+    _check_route(args)
+    samples = _load_inputs(args)
+    config = KernelConfig(*(_spec(args, var) for var in "xyz"))
 
     if args.pairs or args.weights:
         if not (args.pairs and args.weights):
             raise CliError("--pairs and --weights must be used together")
-        pairs = _parse_pairs(args.pairs)
-        weights = _parse_weights(args.weights)
+        pairs = _parse_list(args.pairs, "pairs (expected like 0-1,0-2)", _pair, blanks=True)
+        weights = _parse_list(args.weights, "weights")
         check_weights(weights, len(pairs), args.alpha)
         summary = joint_summary(samples, pairs, config)
         result = generalized_test(summary, weights, alpha=args.alpha)
@@ -200,15 +183,15 @@ def cmd_test(args) -> int:
 
 
 def cmd_hsic(args) -> int:
-    j = align(*_load_inputs(args.inputs, args))
-    config = _kernel_config(args)
-    rx, ry = kernel_rows(j.x, config.x), kernel_rows(j.y, config.y)
+    j = align(*_load_inputs(args))
+    spec_x, spec_y = _spec(args, "x"), _spec(args, "y")
+    rx, ry = kernel_rows(j.x, spec_x), kernel_rows(j.y, spec_y)
     (est,) = hsic_estimates([rx, ry], [(0, 1)], ["XY"])
     payload = {
         "hsic": est.value,
         "variance": variance_hsic(est),
         "m": est.m,
-        "kernel": {"x": kernel_info(config.x, rx), "y": kernel_info(config.y, ry)},
+        "kernel": {"x": kernel_info(spec_x, rx), "y": kernel_info(spec_y, ry)},
     }
     _emit(payload, args)
     return EXIT_OK
@@ -294,7 +277,7 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    grid = _parse_int_list(args.m_grid)
+    grid = _parse_list(args.m_grid, "m grid", int)
     cfg = _base_config(args, grid[0], args.gamma3)
     points = synthbench.convergence_diagnostic(
         grid, cfg, trials=args.trials, jobs=args.jobs
@@ -325,8 +308,8 @@ def _add_common_io(p):
     )
 
 
-def _add_kernel_flags(p):
-    for var in ("x", "y", "z"):
+def _add_kernel_flags(p, variables: str):
+    for var in variables:
         p.add_argument(
             f"--kernel-{var}",
             choices=[GAUSSIAN, LINEAR],
@@ -338,19 +321,6 @@ def _add_kernel_flags(p):
             type=float,
             help=f"Gaussian bandwidth for {var} (default: median heuristic)",
         )
-
-
-def _add_experiment_flags(p, with_gamma3: bool):
-    p.add_argument("--m", type=int, required=True, help="sample size per trial")
-    p.add_argument("--trials", type=int, required=True, help="Monte-Carlo trials")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--gamma1", type=float, default=0.3)
-    p.add_argument("--gamma2", type=float, default=0.3)
-    if with_gamma3:
-        p.add_argument("--gamma3", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None, help="master seed (or RELDEP_SEED)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
-    p.add_argument("--out", help="output directory (default: current)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         choices=["dependent", "independent"],
-        default="dependent",
         help="full-sample correlated test (default) or split-half baseline",
     )
     p.add_argument("--alpha", type=float, default=0.05)
@@ -380,41 +349,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded pre-shuffle of rows before the independent split",
     )
     p.add_argument("--seed", type=int, default=None, help="seed for --shuffle-split")
-    _add_kernel_flags(p)
+    _add_kernel_flags(p, "xyz")
     _add_common_io(p)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("hsic", help="unbiased HSIC estimate for two CSV files")
     p.add_argument("inputs", nargs=2, help="CSV files: x y")
-    _add_kernel_flags(p)
+    _add_kernel_flags(p, "xy")
     _add_common_io(p)
     p.set_defaults(func=cmd_hsic)
 
-    p = sub.add_parser("power", help="power curve over a gamma3 grid")
-    p.add_argument(
-        "--gamma3", required=True, help="grid start:step:stop or comma list"
-    )
-    _add_experiment_flags(p, with_gamma3=False)
-    p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("calibrate", help="Type I rate at the null boundary")
-    _add_experiment_flags(p, with_gamma3=False)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("scatter", help="per-trial estimates and p-values")
-    _add_experiment_flags(p, with_gamma3=True)
-    p.set_defaults(func=cmd_scatter)
-
-    p = sub.add_parser("converge", help="convergence-rate diagnostic")
-    p.add_argument("--m-grid", required=True, help="comma list, e.g. 100,200,400,800")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--gamma1", type=float, default=0.3)
-    p.add_argument("--gamma2", type=float, default=0.3)
-    p.add_argument("--gamma3", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="output directory (default: current)")
-    p.set_defaults(func=cmd_converge)
+    # The Monte-Carlo drivers share one group of run flags.
+    for name, text, func, gamma3 in (
+        ("power", "power curve over a gamma3 grid", cmd_power,
+         {"required": True, "help": "grid start:step:stop or comma list"}),
+        ("calibrate", "Type I rate at the null boundary", cmd_calibrate, None),
+        ("scatter", "per-trial estimates and p-values", cmd_scatter,
+         {"type": float, "required": True}),
+        ("converge", "convergence-rate diagnostic", cmd_converge,
+         {"type": float, "default": 0.7}),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if name == "converge":
+            p.add_argument("--m-grid", required=True, help="comma list, e.g. 100,200,400,800")
+        else:
+            p.add_argument("--m", type=int, required=True, help="sample size per trial")
+            p.add_argument("--alpha", type=float, default=0.05)
+        if gamma3:
+            p.add_argument("--gamma3", **gamma3)
+        p.add_argument("--trials", type=int, required=True, help="Monte-Carlo trials")
+        p.add_argument("--gamma1", type=float, default=0.3)
+        p.add_argument("--gamma2", type=float, default=0.3)
+        p.add_argument("--seed", type=int, default=None, help="master seed (or RELDEP_SEED)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+        p.add_argument("--out", help="output directory (default: current)")
 
     return parser
 
@@ -428,9 +397,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

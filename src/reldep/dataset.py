@@ -3,7 +3,8 @@
 A Sample is an immutable (m, d) float64 matrix with a label.  Loading is
 strict: every cell must parse as a finite number, rows must have equal
 width, and any violation is reported with its file position.  Missing
-values are never imputed.
+values are never imputed.  Samples of the same units must share their row
+count; ``row_count`` checks that for ``JointSample`` and ``joint_summary``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "align",
+    "row_count",
     "split_half",
 ]
 
@@ -85,14 +88,24 @@ class JointSample:
     z: Sample | None = None
 
     def __post_init__(self):
-        counts = [self.x.m, self.y.m] + ([self.z.m] if self.z is not None else [])
-        if len(set(counts)) != 1:
-            joined = ",".join(str(c) for c in counts)
-            raise DatasetError(f"sample sizes {joined} differ")
+        row_count(self.samples)
+
+    @property
+    def samples(self) -> list[Sample]:
+        """x, y and, if present, z."""
+        return [s for s in (self.x, self.y, self.z) if s is not None]
 
     @property
     def m(self) -> int:
         return self.x.m
+
+
+def row_count(samples: Sequence[Sample]) -> int:
+    """The number of rows that ``samples`` share; DatasetError if they differ."""
+    counts = [s.m for s in samples]
+    if len(set(counts)) != 1:
+        raise DatasetError(f"sample sizes {','.join(map(str, counts))} differ")
+    return counts[0]
 
 
 def load_csv(path, *, delimiter: str = ",", has_header: bool = False) -> Sample:

@@ -1,15 +1,16 @@
 """Kernel choices, bandwidth selection and zero-diagonal Gram matrices.
 
 Two kernel families are supported: the Gaussian kernel
-``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` with sigma chosen by the
-median heuristic unless overridden, and the plain linear kernel
-``k(a, b) = <a, b>``.  ``kernel_rows`` prepares one variable for the
-backend's streamed tiles, resolving the median from the same rows in one
-pass over the distance tiles, so the tests hold O(m) memory.  Every value
-comes from padded tiles, so permuting the rows permutes each kernel
-exactly.  ``build_zero_diag_gram`` writes the same tiles into one dense,
-exactly symmetric, read-only matrix: the dense public API and the
-oracles' input, guarded against sizes that cannot fit in memory.
+``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` and the plain linear kernel
+``k(a, b) = <a, b>``.  A ``KernelSpec`` checks its own bandwidth; without
+one, sigma is the median heuristic (a float).  ``kernel_rows`` prepares
+one variable for the backend's streamed tiles, resolving the median from
+the same rows in one pass over the distance tiles, so the tests hold O(m)
+memory.  Every value comes from padded tiles, so permuting the rows
+permutes each kernel exactly.  ``build_zero_diag_gram`` writes the same
+tiles into one dense, exactly symmetric, read-only matrix: the dense
+public API and the oracles' input, guarded against sizes that cannot fit
+in memory.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from reldep import _backend
 from reldep.dataset import PreconditionError, Sample
 
 __all__ = [
-    "Bandwidth",
     "KernelSpec",
     "KernelConfig",
     "GramMatrix",
@@ -38,17 +38,6 @@ LINEAR = "linear"
 
 
 @dataclass(frozen=True)
-class Bandwidth:
-    """Gaussian kernel length scale, in input-space distance units."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"bandwidth must be a positive real, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class KernelSpec:
     """Kernel family for one variable; bandwidth None means median heuristic."""
 
@@ -60,8 +49,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == LINEAR and self.bandwidth is not None:
             raise ValueError("linear kernel takes no bandwidth")
-        if self.bandwidth is not None:
-            Bandwidth(self.bandwidth)  # validate
+        if self.bandwidth is not None and not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be a positive real, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -130,12 +119,12 @@ def _median_rows(s: Sample) -> tuple[_backend.TileRows, float]:
     return rows, sigma
 
 
-def median_heuristic(s: Sample) -> Bandwidth:
+def median_heuristic(s: Sample) -> float:
     """Median of the m(m-1)/2 pairwise Euclidean distances.
 
     An even pool takes the mean of the two central order statistics.
     """
-    return Bandwidth(_median_rows(s)[1])
+    return _median_rows(s)[1]
 
 
 def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:

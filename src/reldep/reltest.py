@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from reldep.dataset import JointSample, PreconditionError, Sample, split_half
+from reldep.dataset import JointSample, PreconditionError, Sample, row_count, split_half
 from reldep.hsic import (
     VARIANCE_FLOOR,
     covariance_summary,
@@ -191,12 +191,8 @@ def rotation_matrix(v: Sequence[float]) -> RotationMatrix:
     v = np.ascontiguousarray(v, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 2:
         raise ValueError("weight vector must be 1-d with length >= 2")
-    if not np.isfinite(v).all():
-        raise ValueError("weight vector must be finite")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("weight vector must be nonzero")
     n = v.shape[0]
+    v = check_weights(v, n)
     q = np.eye(n)
     w = v.copy()
     for i in range(1, n):
@@ -343,18 +339,10 @@ def joint_summary(
     is held.  The covariance is ``covariance_summary`` of the estimates,
     and ``kernel_info`` the resolved kernel of each variable used.
     """
-    if isinstance(samples, JointSample):
-        sample_list = [samples.x, samples.y]
-        if samples.z is not None:
-            sample_list.append(samples.z)
-    else:
-        sample_list = list(samples)
+    sample_list = samples.samples if isinstance(samples, JointSample) else list(samples)
     if len(pairs) < 2:
         raise ValueError("need at least two (source, target) pairs")
-    sizes = {s.m for s in sample_list}
-    if len(sizes) != 1:
-        joined = ",".join(str(s.m) for s in sample_list)
-        raise PreconditionError(f"sample sizes {joined} differ")
+    m = row_count(sample_list)
 
     if isinstance(kernel_specs, KernelConfig):
         spec_for = kernel_specs.spec_for
@@ -381,7 +369,7 @@ def joint_summary(
     return JointGaussianSummary(
         means=np.array([e.value for e in estimates]),
         covariance=covariance_summary(estimates),
-        m=sample_list[0].m,
+        m=m,
         kernel_info={str(i): kernel_info(spec_for(i), rows[at[i]]) for i in sorted(used)},
     )
 

@@ -23,6 +23,7 @@ command-line interface decides every output file and its format.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -121,13 +122,18 @@ def sample_synthetic(c: SynthConfig) -> JointSample:
 
 
 def _run_trials(worker: Callable, args: list, jobs: int) -> list:
-    """Run trial workers, optionally across processes; order preserved."""
+    """Run trial workers, optionally across processes; order preserved.
+
+    Starts at most one process per trial and per CPU this process may use.
+    """
     if not args:
         raise ValueError("trials must be >= 1")
-    if jobs <= 1 or len(args) <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(args), cpus or 1)
+    if workers <= 1:
         return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, args, chunksize=max(1, len(args) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, args, chunksize=max(1, len(args) // (4 * workers))))
 
 
 def _power_trial(args) -> tuple[bool, bool]:

@@ -17,9 +17,10 @@ from reldep.hsic import (
     h_vector_bruteforce,
     hsic_bruteforce,
     hsic_estimate,
+    hsic_estimates,
     cross_covariance,
 )
-from reldep.kernels import KernelSpec, build_zero_diag_gram
+from reldep.kernels import KernelSpec, build_zero_diag_gram, kernel_rows
 from reldep.reltest import (
     dependent_test,
     generalized_test,
@@ -41,11 +42,18 @@ def report(cid: str, name: str, passed: bool, detail: str) -> None:
 
 
 def random_pair(rng, m):
+    """Dense Grams of two random samples, and the same kernels' tile rows."""
     x = Sample(rng.standard_normal((m, 3)), "x")
     y = Sample(rng.standard_normal((m, 3)), "y")
-    kt = build_zero_diag_gram(x, KernelSpec(bandwidth=float(rng.uniform(0.6, 2.0))))
-    lt = build_zero_diag_gram(y, KernelSpec(bandwidth=float(rng.uniform(0.6, 2.0))))
-    return kt, lt
+    sx = KernelSpec(bandwidth=float(rng.uniform(0.6, 2.0)))
+    sy = KernelSpec(bandwidth=float(rng.uniform(0.6, 2.0)))
+    grams = build_zero_diag_gram(x, sx), build_zero_diag_gram(y, sy)
+    return grams, (kernel_rows(x, sx), kernel_rows(y, sy))
+
+
+def streamed(rows, pairs):
+    """The estimator the tests run: ``hsic_estimates`` over kernel rows."""
+    return hsic_estimates(rows, pairs, [f"{a}-{b}" for a, b in pairs])
 
 
 @pytest.fixture(scope="module")
@@ -65,53 +73,61 @@ def convergence_run():
 
 
 def test_c01_estimator_oracle_equivalence():
+    # Both the dense estimator and the streamed one the tests run.
     rng = np.random.default_rng(777)
     start = time.perf_counter()
-    worst = 0.0
+    worst = {"dense": 0.0, "streamed": 0.0}
     for m in (4, 6, 8, 10, 12):
         for _ in range(50):
-            kt, lt = random_pair(rng, m)
-            fast = hsic_estimate(kt, lt).value
+            (kt, lt), rows = random_pair(rng, m)
             oracle = hsic_bruteforce(kt, lt)
-            worst = max(worst, abs(fast - oracle) / max(1.0, abs(oracle)))
+            (est,) = streamed(rows, [(0, 1)])
+            for name, fast in (("dense", hsic_estimate(kt, lt).value), ("streamed", est.value)):
+                worst[name] = max(worst[name], abs(fast - oracle) / max(1.0, abs(oracle)))
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-9 and elapsed < 5.0
-    report("C01", "estimator-oracle-equivalence", ok, f"worst rel err {worst:.2e}, {elapsed:.1f}s")
-    assert worst < 1e-9
+    ok = max(worst.values()) < 1e-9 and elapsed < 5.0
+    detail = ", ".join(f"{k} worst rel err {v:.2e}" for k, v in worst.items())
+    report("C01", "estimator-oracle-equivalence", ok, f"{detail}, {elapsed:.1f}s")
+    assert max(worst.values()) < 1e-9
     assert elapsed < 5.0
 
 
 def test_c02_h_vector_and_cross_covariance_oracles():
+    # Both the dense estimator and the streamed one the tests run.
     rng = np.random.default_rng(778)
     start = time.perf_counter()
     worst_h = 0.0
     for m in (8, 10, 12):
-        kt, lt = random_pair(rng, m)
-        fast = hsic_estimate(kt, lt).h_vector
+        (kt, lt), rows = random_pair(rng, m)
         raw = h_vector_bruteforce(kt, lt)
-        rel = np.abs(fast - H_SUM_RATIO * raw) / np.maximum(1.0, np.abs(raw))
-        worst_h = max(worst_h, float(rel.max()))
+        (est,) = streamed(rows, [(0, 1)])
+        for fast in (hsic_estimate(kt, lt).h_vector, est.h_vector):
+            rel = np.abs(fast - H_SUM_RATIO * raw) / np.maximum(1.0, np.abs(raw))
+            worst_h = max(worst_h, float(rel.max()))
 
     m = 10
-    kt, lt = random_pair(rng, m)
-    _, dt = random_pair(rng, m)
-    e_xy = hsic_estimate(kt, lt, "XY")
-    e_xz = hsic_estimate(kt, dt, "XZ")
+    (kt, lt), (rx, ry) = random_pair(rng, m)
+    (_, dt), (_, rd) = random_pair(rng, m)
     s_h = h_vector_bruteforce(kt, lt)
     s_g = h_vector_bruteforce(kt, dt)
     f = (m - 1) * (m - 2) * (m - 3)
     oracle_cov = (16.0 / m) * (
         float(s_h @ s_g) / (m * f * f) - hsic_bruteforce(kt, lt) * hsic_bruteforce(kt, dt)
     )
-    got = cross_covariance(e_xy, e_xz)
-    cov_err = abs(got - oracle_cov) / max(1.0, abs(oracle_cov))
+    cov_err = 0.0
+    for e_xy, e_xz in (
+        (hsic_estimate(kt, lt, "XY"), hsic_estimate(kt, dt, "XZ")),
+        streamed([rx, ry, rd], [(0, 1), (0, 2)]),
+    ):
+        got = cross_covariance(e_xy, e_xz)
+        cov_err = max(cov_err, abs(got - oracle_cov) / max(1.0, abs(oracle_cov)))
     elapsed = time.perf_counter() - start
     ok = worst_h < 1e-9 and cov_err < 1e-9 and elapsed < 10.0
     report(
         "C02",
         "h-vector-and-cross-covariance-oracles",
         ok,
-        f"h rel {worst_h:.2e}, cov rel {cov_err:.2e}, {elapsed:.1f}s",
+        f"h rel {worst_h:.2e}, cov rel {cov_err:.2e} (dense and streamed), {elapsed:.1f}s",
     )
     assert worst_h < 1e-9
     assert cov_err < 1e-9

@@ -144,6 +144,44 @@ class TestCmdTest:
         c = write_sample(tmp_path / "c.csv", np.ones((120, 1)))
         assert main(["test", x, c, y, "--pairs", "0-1,0-2", *flags]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--pairs", "0-1,0-2", "--weights", "1,-1", "--method", "independent"], "--method"),
+            (["--pairs", "0-1,0-2", "--weights", "1,-1", "--method", "dependent"], "--method"),
+            (["--pairs", "0-1,0-2", "--weights", "1,-1", "--shuffle-split"], "--shuffle-split"),
+            (["--shuffle-split"], "--shuffle-split"),
+            (["--shuffle-split", "--seed", "5"], "--shuffle-split"),
+            (["--seed", "5"], "--seed"),
+            (["--method", "independent", "--seed", "5"], "--seed"),
+        ],
+    )
+    def test_flags_the_route_ignores_exit_2(self, capsys, xyz_files, flags, named):
+        assert main(["test", *xyz_files, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + named)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "dependent"],
+            ["--method", "independent"],
+            ["--method", "independent", "--shuffle-split"],
+            ["--method", "independent", "--shuffle-split", "--seed", "7"],
+        ],
+    )
+    def test_flags_of_the_chosen_route_accepted(self, capsys, xyz_files, flags):
+        assert main(["test", *xyz_files, *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == flags[1]
+
+    def test_row_mismatch_exit_2_on_every_route(self, tmp_path, capsys, xyz_files):
+        x, y, z = xyz_files
+        short = write_sample(tmp_path / "short.csv", np.ones((119, 1)))
+        for argv in ([x, y, short], [x, y, short, "--pairs", "0-1,0-2", "--weights", "1,-1"]):
+            assert main(["test", *argv]) == 2
+            assert "sample sizes 120,120,119 differ" in capsys.readouterr().err
+
     def test_kernel_and_bandwidth_flags(self, capsys, xyz_files):
         x, y, z = xyz_files
         code = main(
@@ -194,6 +232,12 @@ class TestCmdHsic:
         x = write_sample(tmp_path / "x.csv", rng.standard_normal((10, 1)))
         y = write_sample(tmp_path / "y.csv", rng.standard_normal((11, 1)))
         assert main(["hsic", x, y]) == 2
+
+    @pytest.mark.parametrize("flags", [["--kernel-z", "linear"], ["--bandwidth-z", "1.0"]])
+    def test_no_z_flags(self, tmp_path, capsys, rng, flags):
+        x = write_sample(tmp_path / "x.csv", rng.standard_normal((30, 2)))
+        assert main(["hsic", x, x, *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_binary_garbage_exit_2(self, tmp_path, capsys, rng):
         bad = tmp_path / "bad.csv"

@@ -3,7 +3,6 @@ import pytest
 
 from reldep.dataset import PreconditionError, Sample
 from reldep.kernels import (
-    Bandwidth,
     GramMatrix,
     KernelSpec,
     build_zero_diag_gram,
@@ -46,17 +45,17 @@ class TestPairwiseSqDistances:
 class TestMedianHeuristic:
     def test_two_points(self):
         s = Sample(np.array([[0.0], [5.0]]), "s")
-        assert median_heuristic(s).sigma == pytest.approx(5.0)
+        assert median_heuristic(s) == pytest.approx(5.0)
 
     def test_odd_count_median(self):
         # distances {1, 2, 3}
         s = Sample(np.array([0.0, 1.0, 3.0]), "s")
-        assert median_heuristic(s).sigma == pytest.approx(2.0)
+        assert median_heuristic(s) == pytest.approx(2.0)
 
     def test_even_count_averages_central_pair(self):
         # points 0,1,4,6 -> distances {1,2,3,4,5,6}, median (3+4)/2
         s = Sample(np.array([0.0, 1.0, 4.0, 6.0]), "s")
-        assert median_heuristic(s).sigma == pytest.approx(3.5)
+        assert median_heuristic(s) == pytest.approx(3.5)
 
     def test_degenerate_constant_sample(self):
         s = Sample(np.zeros((3, 1)), "s")
@@ -71,7 +70,7 @@ class TestMedianHeuristic:
     def test_duplicates_in_pool_but_positive_median(self):
         # distances {0,0,0,1,1,1} -> median 0.5
         s = Sample(np.array([0.0, 0.0, 0.0, 1.0]), "s")
-        assert median_heuristic(s).sigma == pytest.approx(0.5)
+        assert median_heuristic(s) == pytest.approx(0.5)
 
     def test_single_point_rejected(self):
         with pytest.raises(PreconditionError):
@@ -82,16 +81,16 @@ class TestMedianHeuristic:
             s = Sample(rng.standard_normal((m, 3)), "s")
             d2 = pairwise_sq_distances(s)
             naive = float(np.median(np.sqrt(d2[np.triu_indices(m, k=1)])))
-            assert median_heuristic(s).sigma == pytest.approx(naive, rel=1e-14)
+            assert median_heuristic(s) == pytest.approx(naive, rel=1e-14)
             if m * (m - 1) // 2 % 2:  # an odd pool's median is one distance, exactly
-                assert median_heuristic(s).sigma == naive
+                assert median_heuristic(s) == naive
 
     def test_rigid_motion_invariance(self, rng):
         s = Sample(rng.standard_normal((30, 3)), "s")
-        base = median_heuristic(s).sigma
+        base = median_heuristic(s)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         moved = Sample(s.data @ q.T + np.array([5.0, -2.0, 11.0]), "moved")
-        assert median_heuristic(moved).sigma == pytest.approx(base, rel=1e-12)
+        assert median_heuristic(moved) == pytest.approx(base, rel=1e-12)
 
 
 class TestGramGaussian:
@@ -175,7 +174,7 @@ class TestBuildGram:
     def test_median_resolved(self, rng):
         s = Sample(rng.standard_normal((8, 2)), "s")
         g = build_zero_diag_gram(s, KernelSpec())
-        assert g.bandwidth == pytest.approx(median_heuristic(s).sigma)
+        assert g.bandwidth == pytest.approx(median_heuristic(s))
 
     def test_linear_family(self, rng):
         s = Sample(rng.standard_normal((8, 2)), "s")
@@ -190,7 +189,7 @@ class TestBuildGram:
             if spec.family == "linear":
                 a, sigma = s.data @ s.data.T, None
             else:
-                sigma = spec.bandwidth or median_heuristic(s).sigma
+                sigma = spec.bandwidth or median_heuristic(s)
                 a = np.exp(pairwise_sq_distances(s) * (-0.5 / (sigma * sigma)))
             np.fill_diagonal(a, 0.0)
             assert np.array_equal(a, b.values)
@@ -203,5 +202,5 @@ class TestBuildGram:
             KernelSpec(family="linear", bandwidth=1.0)
         with pytest.raises(ValueError):
             KernelSpec(bandwidth=-1.0)
-        with pytest.raises(ValueError):
-            Bandwidth(0.0)
+        with pytest.raises(ValueError, match="bandwidth must be a positive real"):
+            KernelSpec(bandwidth=0.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reldep.dataset import PreconditionError, Sample, align
+from reldep.dataset import DatasetError, PreconditionError, Sample, align
 from reldep.kernels import KernelConfig, KernelSpec
 from reldep.reltest import (
     JointGaussianSummary,
@@ -338,7 +338,7 @@ class TestJointSummaryAndGeneralized:
     def test_misaligned_samples(self, rng):
         a = Sample(rng.standard_normal((10, 2)), "a")
         b = Sample(rng.standard_normal((11, 2)), "b")
-        with pytest.raises(PreconditionError, match="differ"):
+        with pytest.raises(DatasetError, match="sample sizes 10,11 differ"):
             joint_summary([a, b], [(0, 1), (1, 0)])
 
     def test_weight_length_mismatch(self):

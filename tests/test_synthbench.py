@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from reldep import synthbench
 from reldep.hsic import hsic_estimate
 from reldep.kernels import KernelSpec, build_zero_diag_gram
 from reldep.synthbench import (
@@ -89,6 +92,33 @@ class TestPowerCurve:
         seq = power_curve([0.5, 1.2], base, trials=4, jobs=1)
         par = power_curve([0.5, 1.2], base, trials=4, jobs=2)
         assert seq == par
+
+    @pytest.mark.parametrize(
+        "jobs, trials, cpus, started",
+        [(64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (1, 5, 8, None), (4, 5, 1, None)],
+    )
+    def test_workers_clamped_to_trials_and_cpus(self, monkeypatch, jobs, trials, cpus, started):
+        # A stand-in pool records its size and maps in this process, so no
+        # worker process is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(synthbench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert synthbench._run_trials(abs, [-t for t in range(trials)], jobs) == list(range(trials))
+        assert sizes == ([] if started is None else [started])
 
     def test_power_non_decreasing_in_gamma3(self):
         # weakening z's link to x makes the alternative easier, so the

@@ -13,8 +13,9 @@ seeds at m = 1000, whose tiles no longer all fit the keep budget, with the
 default kernels and with linear-x/bandwidth-y.  Then it prints the stdout
 and output files of ``reldep test`` (the README's four forms and
 ``--format csv``), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
-``converge``.  It runs in a fresh temporary directory, so two trees give
-the same file names.
+``converge``, each line as the ``repr`` of its text with its line ending,
+so a change of line endings shows.  It runs in a fresh temporary
+directory, so two trees give the same file names.
 
 ``--diff`` counts the changed lines per kind and reports the largest
 absolute change of each float field (hex fields, and JSON number lines of
@@ -119,13 +120,13 @@ def dump_cli(reldep, out):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
-        for n, line in enumerate(buf.getvalue().splitlines()):
-            print(f"cli|{' '.join(argv)}|{n}|{line}", file=out)
+        for n, line in enumerate(buf.getvalue().splitlines(keepends=True)):
+            print(f"cli|{' '.join(argv)}|{n}|{line!r}", file=out)
         print(f"cli|{' '.join(argv)}|exit|{code}", file=out)
     files = sorted(p for p in Path(".").rglob("*") if p.is_file() and p.name not in INPUTS)
     for path in files:
-        for n, line in enumerate(path.read_text().splitlines()):
-            print(f"file|{path}|{n}|{line}", file=out)
+        for n, line in enumerate(path.read_bytes().decode("utf-8").splitlines(keepends=True)):
+            print(f"file|{path}|{n}|{line!r}", file=out)
 
 
 def dump(tree):
@@ -152,7 +153,7 @@ def _fields(line):
                 out[name] = [float.fromhex(v) for v in value.split(",")]
             except ValueError:
                 pass
-    number = re.search(r'"(\w+)": (-?[0-9.]+(?:e[-+]?[0-9]+)?),?$', line)
+    number = re.search(r'"(\w+)": (-?[0-9.]+(?:e[-+]?[0-9]+)?),?(?:\\r)?(?:\\n)?\'$', line)
     if number:
         out[number[1]] = [float(number[2])]
     return kind, out
