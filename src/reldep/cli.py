@@ -150,7 +150,7 @@ def _check_route(args) -> None:
 def cmd_test(args) -> int:
     _check_route(args)
     samples = _load_inputs(args)
-    config = KernelConfig(*(_spec(args, var) for var in "xyz"))
+    specs = [_spec(args, var) for var in "xyz"]
 
     if args.pairs or args.weights:
         if not (args.pairs and args.weights):
@@ -158,7 +158,9 @@ def cmd_test(args) -> int:
         pairs = _parse_list(args.pairs, "pairs (expected like 0-1,0-2)", _pair, blanks=True)
         weights = _parse_list(args.weights, "weights")
         check_weights(weights, len(pairs), args.alpha)
-        summary = joint_summary(samples, pairs, config)
+        # One spec per file: the x, y, z flags in order, the default kernel past z.
+        specs = (specs + [KernelSpec()] * len(samples))[: len(samples)]
+        summary = joint_summary(samples, pairs, specs)
         result = generalized_test(summary, weights, alpha=args.alpha)
         payload = result.to_dict()
         payload["pairs"] = [f"{a}-{b}" for a, b in pairs]
@@ -173,10 +175,10 @@ def cmd_test(args) -> int:
         if args.method == "independent":
             shuffle_seed = _default_seed(args.seed) if args.shuffle_split else None
             result = independent_test(
-                j, config, alpha=args.alpha, shuffle_seed=shuffle_seed
+                j, KernelConfig(*specs), alpha=args.alpha, shuffle_seed=shuffle_seed
             )
         else:
-            result = dependent_test(j, config, alpha=args.alpha)
+            result = dependent_test(j, KernelConfig(*specs), alpha=args.alpha)
         payload = result.to_dict()
     _emit(payload, args)
     return EXIT_OK
@@ -184,14 +186,13 @@ def cmd_test(args) -> int:
 
 def cmd_hsic(args) -> int:
     j = align(*_load_inputs(args))
-    spec_x, spec_y = _spec(args, "x"), _spec(args, "y")
-    rx, ry = kernel_rows(j.x, spec_x), kernel_rows(j.y, spec_y)
+    rx, ry = kernel_rows(j.x, _spec(args, "x")), kernel_rows(j.y, _spec(args, "y"))
     (est,) = hsic_estimates([rx, ry], [(0, 1)], ["XY"])
     payload = {
         "hsic": est.value,
         "variance": variance_hsic(est),
         "m": est.m,
-        "kernel": {"x": kernel_info(spec_x, rx), "y": kernel_info(spec_y, ry)},
+        "kernel": {"x": kernel_info(rx), "y": kernel_info(ry)},
     }
     _emit(payload, args)
     return EXIT_OK
@@ -264,9 +265,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_scatter(args) -> int:
     cfg = _base_config(args, args.m, args.gamma3)
-    records = synthbench.scatter_experiment(
-        cfg, trials=args.trials, alpha=args.alpha, jobs=args.jobs
-    )
+    records = synthbench.scatter_experiment(cfg, trials=args.trials, jobs=args.jobs)
     return _write_experiment(
         args, "scatter", args.m, cfg.seed, records,
         gamma3=args.gamma3,
@@ -330,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Relative dependency testing: decide whether a source variable "
             "is more dependent on one target than on another."
         ),
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("test", help="relative dependency test on CSV files")
+    p = sub.add_parser("test", help="relative dependency test on CSV files", allow_abbrev=False)
     p.add_argument("inputs", nargs="+", help="CSV files: x y z (or more with --pairs)")
     p.add_argument(
         "--method",
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("hsic", help="unbiased HSIC estimate for two CSV files")
+    p = sub.add_parser("hsic", help="unbiased HSIC estimate for two CSV files", allow_abbrev=False)
     p.add_argument("inputs", nargs=2, help="CSV files: x y")
     _add_kernel_flags(p, "xy")
     _add_common_io(p)
@@ -369,12 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("converge", "convergence-rate diagnostic", cmd_converge,
          {"type": float, "default": 0.7}),
     ):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.set_defaults(func=func)
         if name == "converge":
             p.add_argument("--m-grid", required=True, help="comma list, e.g. 100,200,400,800")
         else:
             p.add_argument("--m", type=int, required=True, help="sample size per trial")
+        if name in ("power", "calibrate"):
             p.add_argument("--alpha", type=float, default=0.05)
         if gamma3:
             p.add_argument("--gamma3", **gamma3)

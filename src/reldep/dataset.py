@@ -1,10 +1,13 @@
 """Samples, CSV ingestion, alignment and the half split.
 
-A Sample is an immutable (m, d) float64 matrix with a label.  Loading is
-strict: every cell must parse as a finite number, rows must have equal
-width, and any violation is reported with its file position.  Missing
-values are never imputed.  Samples of the same units must share their row
-count; ``row_count`` checks that for ``JointSample`` and ``joint_summary``.
+A Sample is an immutable (m, d) float64 matrix with a label.  Like every
+frozen type in the package, it holds a read-only view of the caller's
+array, not a copy, where it can: do not change an array after handing it
+over.  Loading is strict: every cell must parse as a finite number, rows
+must have equal width, and any violation is reported with its file
+position.  Missing values are never imputed.  Samples of the same units
+must share their row count; ``row_count`` checks that for ``JointSample``
+and ``joint_summary``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ class PreconditionError(ValueError):
     """A statistical precondition is violated (too few rows, degenerate data)."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _readonly(a) -> np.ndarray:
+    """Read-only C-contiguous float64 view of ``a``; it may share a's memory."""
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     a.setflags(write=False)
     return a
 

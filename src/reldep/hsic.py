@@ -35,7 +35,7 @@ import numpy as np
 
 from reldep import _backend
 from reldep._backend import TileRows
-from reldep.dataset import PreconditionError
+from reldep.dataset import PreconditionError, _readonly
 from reldep.kernels import GramMatrix
 
 __all__ = [
@@ -75,8 +75,7 @@ class HsicEstimate:
     m: int
 
     def __post_init__(self):
-        h = np.ascontiguousarray(self.h_vector, dtype=np.float64)
-        h.setflags(write=False)
+        h = _readonly(self.h_vector)
         object.__setattr__(self, "h_vector", h)
         if h.shape != (self.m,):
             raise ValueError("h_vector length must equal the sample size")

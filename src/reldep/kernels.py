@@ -3,24 +3,26 @@
 Two kernel families are supported: the Gaussian kernel
 ``k(a, b) = exp(-||a - b||^2 / (2 sigma^2))`` and the plain linear kernel
 ``k(a, b) = <a, b>``.  A ``KernelSpec`` checks its own bandwidth; without
-one, sigma is the median heuristic (a float).  ``kernel_rows`` prepares
-one variable for the backend's streamed tiles, resolving the median from
-the same rows in one pass over the distance tiles, so the tests hold O(m)
-memory.  Every value comes from padded tiles, so permuting the rows
-permutes each kernel exactly.  ``build_zero_diag_gram`` writes the same
-tiles into one dense, exactly symmetric, read-only matrix: the dense
-public API and the oracles' input, guarded against sizes that cannot fit
-in memory.
+one, sigma is the median heuristic (a float).  A ``KernelConfig`` is the
+sequence of the x, y and z specs.  ``kernel_rows`` prepares one variable
+for the backend's streamed tiles, resolving the median from the same rows
+in one pass over the distance tiles, so the tests hold O(m) memory, and
+``kernel_info`` reads the resolved kernel back off those rows.  Every
+value comes from padded tiles, so permuting the rows permutes each kernel
+exactly.  ``build_zero_diag_gram`` writes the same tiles into one dense,
+exactly symmetric, read-only matrix: the dense public API and the
+oracles' input, guarded against sizes that cannot fit in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from reldep import _backend
-from reldep.dataset import PreconditionError, Sample
+from reldep.dataset import PreconditionError, Sample, _readonly
 
 __all__ = [
     "KernelSpec",
@@ -53,17 +55,12 @@ class KernelSpec:
             raise ValueError(f"bandwidth must be a positive real, got {self.bandwidth}")
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Per-variable kernel choices for a three-variable test."""
+class KernelConfig(NamedTuple):
+    """The kernel specs of x, y and z: a sequence of three, one per variable."""
 
     x: KernelSpec = KernelSpec()
     y: KernelSpec = KernelSpec()
     z: KernelSpec = KernelSpec()
-
-    def spec_for(self, index: int) -> KernelSpec:
-        """Kernel for the variable at this position (x=0, y=1, z=2, then default)."""
-        return (self.x, self.y, self.z)[index] if index < 3 else KernelSpec()
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,9 @@ class GramMatrix:
     bandwidth: float | None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = _readonly(self.values)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or np.any(np.diagonal(v) != 0.0):
             raise ValueError("Gram matrix values must be square and zero-diagonal")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -150,9 +146,9 @@ def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
     return replace(rows, sigma=sigma)
 
 
-def kernel_info(spec: KernelSpec, rows: _backend.TileRows) -> dict:
-    """The resolved kernel of one variable: its family and bandwidth."""
-    return {"family": spec.family, "bandwidth": rows.sigma}
+def kernel_info(rows: _backend.TileRows) -> dict:
+    """The resolved kernel of some rows: its family (linear rows have no norms) and bandwidth."""
+    return {"family": LINEAR if rows.norms is None else GAUSSIAN, "bandwidth": rows.sigma}
 
 
 def build_zero_diag_gram(s: Sample, spec: KernelSpec) -> GramMatrix:

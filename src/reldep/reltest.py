@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from reldep.dataset import JointSample, PreconditionError, Sample, row_count, split_half
+from reldep.dataset import JointSample, PreconditionError, Sample, _readonly, row_count, split_half
 from reldep.hsic import (
     VARIANCE_FLOOR,
     covariance_summary,
@@ -131,8 +131,7 @@ class JointGaussianSummary:
     kernel_info: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        means = np.ascontiguousarray(self.means, dtype=np.float64)
-        cov = np.ascontiguousarray(self.covariance, dtype=np.float64)
+        means, cov = _readonly(self.means), _readonly(self.covariance)
         n = means.shape[0]
         if n < 2:
             raise ValueError("summary needs at least two statistics")
@@ -149,8 +148,6 @@ class JointGaussianSummary:
                 f"covariance not positive semidefinite after clamping "
                 f"(min eigenvalue {eigmin:.3e})"
             )
-        means.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariance", cov)
 
@@ -166,7 +163,7 @@ class RotationMatrix:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.ascontiguousarray(self.q, dtype=np.float64)
+        q = _readonly(self.q)
         n = q.shape[0]
         if q.shape != (n, n):
             raise ValueError("rotation matrix must be square")
@@ -174,7 +171,6 @@ class RotationMatrix:
             raise ValueError("matrix is not orthogonal to tolerance")
         if np.linalg.det(q) < 0.0:
             raise ValueError("matrix is a reflection, not a rotation")
-        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
 
@@ -301,9 +297,9 @@ def independent_test(
         m=j.m // 2,
     )
     info = {
-        "x": {"family": cfg.x.family, "bandwidth": [rx1.sigma, rx2.sigma]},
-        "y": kernel_info(cfg.y, ry),
-        "z": kernel_info(cfg.z, rz),
+        "x": {**kernel_info(rx1), "bandwidth": [rx1.sigma, rx2.sigma]},
+        "y": kernel_info(ry),
+        "z": kernel_info(rz),
     }
     return _verdict(summary, _DIFFERENCE, alpha, INDEPENDENT, j.m, info)
 
@@ -327,13 +323,14 @@ def check_weights(v: Sequence[float], n: int, alpha: float = 0.05) -> np.ndarray
 def joint_summary(
     samples: JointSample | Sequence[Sample],
     pairs: Sequence[tuple[int, int]],
-    kernel_specs: Sequence[KernelSpec] | KernelConfig | None = None,
+    kernel_specs: Sequence[KernelSpec] | None = None,
 ) -> JointGaussianSummary:
     """Joint Gaussian summary of the HSIC statistics for several pairs.
 
     ``samples`` is either a JointSample (indices 0, 1, 2 for x, y, z) or a
     list of aligned samples; ``pairs`` lists (source, target) index pairs.
-    A list of kernel specs needs one spec per sample.  Each variable's
+    ``kernel_specs`` is None (the default kernel for every sample) or one
+    spec per sample, such as a ``KernelConfig`` for x, y, z.  Each variable's
     kernel is resolved once, and every estimate comes from one pair of
     sweeps over the kernels' tiles (``hsic_estimates``), so no m x m matrix
     is held.  The covariance is ``covariance_summary`` of the estimates,
@@ -344,24 +341,17 @@ def joint_summary(
         raise ValueError("need at least two (source, target) pairs")
     m = row_count(sample_list)
 
-    if isinstance(kernel_specs, KernelConfig):
-        spec_for = kernel_specs.spec_for
-    elif kernel_specs is None:
-        spec_for = lambda i: KernelSpec()
-    else:
-        specs = list(kernel_specs)
-        if len(specs) != len(sample_list):
-            raise ValueError(
-                f"{len(specs)} kernel specs for {len(sample_list)} samples;"
-                " need one per sample"
-            )
-        spec_for = specs.__getitem__
+    specs = [KernelSpec()] * len(sample_list) if kernel_specs is None else list(kernel_specs)
+    if len(specs) != len(sample_list):
+        raise ValueError(
+            f"{len(specs)} kernel specs for {len(sample_list)} samples; need one per sample"
+        )
 
     used = list(dict.fromkeys(i for pair in pairs for i in pair))
     for i in used:
         if not 0 <= i < len(sample_list):
             raise ValueError(f"pair index {i} out of range")
-    rows = [kernel_rows(sample_list[i], spec_for(i)) for i in used]
+    rows = [kernel_rows(sample_list[i], specs[i]) for i in used]
     at = {i: k for k, i in enumerate(used)}
     estimates = hsic_estimates(
         rows, [(at[a], at[b]) for a, b in pairs], [f"{a}-{b}" for a, b in pairs]
@@ -370,7 +360,7 @@ def joint_summary(
         means=np.array([e.value for e in estimates]),
         covariance=covariance_summary(estimates),
         m=m,
-        kernel_info={str(i): kernel_info(spec_for(i), rows[at[i]]) for i in sorted(used)},
+        kernel_info={str(i): kernel_info(rows[at[i]]) for i in sorted(used)},
     )
 
 

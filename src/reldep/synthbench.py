@@ -15,7 +15,9 @@ and the alternative hypothesis holds.
 Every experiment is a pure function of its config: per-trial RNG streams
 are derived by hashing (seed, indices) through a seed sequence, so trials
 are independent, reproducible and order-insensitive, and can run in
-parallel worker processes.
+parallel worker processes.  A trial draws one sample and returns the
+dependent test's result, or both tests' results where the split baseline
+is compared (``power_curve``, ``scatter_experiment``).
 
 The experiments return records (dataclasses) and write no files; the
 command-line interface decides every output file and its format.
@@ -26,12 +28,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from reldep.dataset import JointSample, Sample
-from reldep.reltest import dependent_test, independent_test
+from reldep.reltest import TestResult, dependent_test, independent_test
 
 __all__ = [
     "SynthConfig",
@@ -99,15 +102,10 @@ class ConvergencePoint:
     median_abs_dev: float
 
 
-def _derived_seed(base_seed: int, *indices: int) -> int:
-    """Hash (seed, indices) into a fresh 64-bit stream seed."""
-    ss = np.random.SeedSequence((base_seed,) + indices)
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def trial_config(base: SynthConfig, *indices: int) -> SynthConfig:
-    """Copy of base with a per-trial seed derived from the master seed."""
-    return replace(base, seed=_derived_seed(base.seed, *indices))
+    """Copy of base whose seed is (master seed, indices) hashed into a fresh 64-bit seed."""
+    ss = np.random.SeedSequence((base.seed,) + indices)
+    return replace(base, seed=int(ss.generate_state(1, np.uint64)[0]))
 
 
 def sample_synthetic(c: SynthConfig) -> JointSample:
@@ -121,27 +119,28 @@ def sample_synthetic(c: SynthConfig) -> JointSample:
     return JointSample(x=Sample(x, "X"), y=Sample(y, "Y"), z=Sample(z, "Z"))
 
 
-def _run_trials(worker: Callable, args: list, jobs: int) -> list:
-    """Run trial workers, optionally across processes; order preserved.
+def _run_trials(worker: Callable, cfgs: list, jobs: int) -> list:
+    """``worker`` on each trial config, optionally across processes; order preserved.
 
     Starts at most one process per trial and per CPU this process may use.
     """
-    if not args:
+    if not cfgs:
         raise ValueError("trials must be >= 1")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, len(args), cpus or 1)
+    workers = min(jobs, len(cfgs), cpus or 1)
     if workers <= 1:
-        return [worker(a) for a in args]
+        return [worker(c) for c in cfgs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, args, chunksize=max(1, len(args) // (4 * workers))))
+        return list(pool.map(worker, cfgs, chunksize=max(1, len(cfgs) // (4 * workers))))
 
 
-def _power_trial(args) -> tuple[bool, bool]:
-    cfg, alpha = args
+def _dependent_trial(cfg: SynthConfig, *, alpha: float = 0.05) -> TestResult:
+    return dependent_test(sample_synthetic(cfg), alpha=alpha)
+
+
+def _both_tests_trial(cfg: SynthConfig, *, alpha: float = 0.05) -> tuple[TestResult, TestResult]:
     j = sample_synthetic(cfg)
-    rd = dependent_test(j, alpha=alpha)
-    ri = independent_test(j, alpha=alpha)
-    return rd.reject_null, ri.reject_null
+    return dependent_test(j, alpha=alpha), independent_test(j, alpha=alpha)
 
 
 def power_curve(
@@ -156,29 +155,19 @@ def power_curve(
         raise ValueError("gamma3 grid must be non-empty")
     rows = []
     for gi, g3 in enumerate(gamma3_grid):
-        args = [
-            (trial_config(replace(base, gamma3=float(g3)), gi, t), alpha)
-            for t in range(trials)
-        ]
-        results = _run_trials(_power_trial, args, jobs)
-        dep = sum(r[0] for r in results) / trials
-        ind = sum(r[1] for r in results) / trials
+        cfgs = [trial_config(replace(base, gamma3=float(g3)), gi, t) for t in range(trials)]
+        results = _run_trials(partial(_both_tests_trial, alpha=alpha), cfgs, jobs)
         rows.append(
             PowerPoint(
                 gamma3=float(g3),
-                power_dependent=dep,
-                power_independent=ind,
+                power_dependent=sum(rd.reject_null for rd, _ in results) / trials,
+                power_independent=sum(ri.reject_null for _, ri in results) / trials,
                 trials=trials,
                 alpha=alpha,
                 m=base.m,
             )
         )
     return PowerTable(tuple(rows))
-
-
-def _calibration_trial(args) -> bool:
-    cfg, alpha = args
-    return dependent_test(sample_synthetic(cfg), alpha=alpha).reject_null
 
 
 def calibration(
@@ -193,36 +182,26 @@ def calibration(
         raise ValueError(
             "calibration requires gamma3 == gamma2 (the null boundary)"
         )
-    args = [(trial_config(base, t), alpha) for t in range(trials)]
-    return sum(_run_trials(_calibration_trial, args, jobs)) / trials
+    cfgs = [trial_config(base, t) for t in range(trials)]
+    results = _run_trials(partial(_dependent_trial, alpha=alpha), cfgs, jobs)
+    return sum(r.reject_null for r in results) / trials
 
 
-def _scatter_trial(args) -> ScatterTrial:
-    cfg, alpha, t = args
-    j = sample_synthetic(cfg)
-    rd = dependent_test(j, alpha=alpha)
-    ri = independent_test(j, alpha=alpha)
-    return ScatterTrial(
-        trial=t,
-        hsic_xy=float(rd.summary.means[0]),
-        hsic_xz=float(rd.summary.means[1]),
-        hsic_xy_half=float(ri.summary.means[0]),
-        hsic_xz_half=float(ri.summary.means[1]),
-        p_dep=rd.p_value,
-        p_indep=ri.p_value,
-    )
-
-
-def scatter_experiment(
-    c: SynthConfig, trials: int, alpha: float = 0.05, jobs: int = 1
-) -> list[ScatterTrial]:
+def scatter_experiment(c: SynthConfig, trials: int, jobs: int = 1) -> list[ScatterTrial]:
     """Per-trial estimate pairs and p-values for both methods."""
-    args = [(trial_config(c, t), alpha, t) for t in range(trials)]
-    return _run_trials(_scatter_trial, args, jobs)
-
-
-def _difference_trial(cfg: SynthConfig) -> float:
-    return dependent_test(sample_synthetic(cfg)).statistic
+    cfgs = [trial_config(c, t) for t in range(trials)]
+    return [
+        ScatterTrial(
+            trial=t,
+            hsic_xy=float(rd.summary.means[0]),
+            hsic_xz=float(rd.summary.means[1]),
+            hsic_xy_half=float(ri.summary.means[0]),
+            hsic_xz_half=float(ri.summary.means[1]),
+            p_dep=rd.p_value,
+            p_indep=ri.p_value,
+        )
+        for t, (rd, ri) in enumerate(_run_trials(_both_tests_trial, cfgs, jobs))
+    ]
 
 
 def convergence_diagnostic(
@@ -244,15 +223,13 @@ def convergence_diagnostic(
         raise ValueError("m grid must be strictly ascending")
 
     big = 4 * m_grid[-1]
-    pop_args = [
-        trial_config(replace(c, m=big), len(m_grid), t) for t in range(trials)
-    ]
-    delta_pop = float(np.mean(_run_trials(_difference_trial, pop_args, jobs)))
+    pop_cfgs = [trial_config(replace(c, m=big), len(m_grid), t) for t in range(trials)]
+    delta_pop = float(np.mean([r.statistic for r in _run_trials(_dependent_trial, pop_cfgs, jobs)]))
 
     out = []
     for k, m in enumerate(m_grid):
-        args = [trial_config(replace(c, m=m), k, t) for t in range(trials)]
-        deltas = np.array(_run_trials(_difference_trial, args, jobs))
+        cfgs = [trial_config(replace(c, m=m), k, t) for t in range(trials)]
+        deltas = np.array([r.statistic for r in _run_trials(_dependent_trial, cfgs, jobs)])
         out.append(
             ConvergencePoint(m=m, median_abs_dev=float(np.median(np.abs(deltas - delta_pop))))
         )

@@ -407,6 +407,27 @@ class TestExperimentCommands:
     def test_usage_error_exit_2(self, capsys):
         assert main(["power", "--m", "64", "--trials", "2"]) == 2
 
+    def test_scatter_takes_no_alpha(self, tmp_path, capsys):
+        argv = ["scatter", "--gamma3", "0.9", "--m", "64", "--trials", "2", "--alpha", "0.1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+
+
+class TestAbbreviatedFlags:
+    """A prefix of a flag is not taken for the flag."""
+
+    def test_pair_is_not_pairs(self, capsys, xyz_files):
+        assert main(["test", *xyz_files, "--pair", "0-1,0-2", "--weights", "1,-1"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --pair" in captured.err
+        assert captured.out == ""
+
+    def test_m_is_not_m_grid(self, tmp_path, capsys):
+        argv = ["converge", "--m-grid", "10,20,30", "--m", "10", "--trials", "2"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --m" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCsvWriter:
     def test_round_trip_text(self):

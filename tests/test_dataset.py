@@ -85,6 +85,13 @@ class TestSample:
         with pytest.raises(ValueError):
             s.data[0, 0] = 2.0
 
+    def test_caller_array_stays_writable(self):
+        # The sample holds a read-only view of the array, not a copy.
+        x = np.zeros((3, 2))
+        s = Sample(x, "s")
+        x[0, 0] = 1.0
+        assert not s.data.flags.writeable and np.shares_memory(s.data, x)
+
 
 class TestAlign:
     def test_matching_sizes(self, rng):

@@ -11,6 +11,7 @@ from reldep.dataset import PreconditionError, Sample
 from reldep.hsic import (
     H_SUM_RATIO,
     VARIANCE_FLOOR,
+    HsicEstimate,
     _from_reductions,
     covariance_summary,
     cross_covariance,
@@ -98,6 +99,12 @@ class TestUnbiasedEstimator:
 
 
 class TestHVector:
+    def test_caller_vector_stays_writable(self):
+        h = np.zeros(5)
+        est = HsicEstimate(value=0.0, h_vector=h, m=5)
+        h[0] = 1.0
+        assert not est.h_vector.flags.writeable and np.shares_memory(est.h_vector, h)
+
     def test_ratio_to_bruteforce_is_frozen_constant(self, rng):
         for m in (8, 10, 12):
             kt, lt = random_zero_diag_pair(rng, m)

@@ -4,8 +4,11 @@ import pytest
 from reldep.dataset import PreconditionError, Sample
 from reldep.kernels import (
     GramMatrix,
+    KernelConfig,
     KernelSpec,
     build_zero_diag_gram,
+    kernel_info,
+    kernel_rows,
     median_heuristic,
     pairwise_sq_distances,
 )
@@ -131,6 +134,32 @@ class TestGramGaussian:
         g = gaussian(Sample(rng.standard_normal((5, 2)), "s"), 1.0)
         with pytest.raises(ValueError):
             g.values[0, 0] = 7.0
+
+    def test_caller_values_stay_writable(self):
+        v = np.array([[0.0, 0.5], [0.5, 0.0]])
+        g = GramMatrix(v, "gaussian", 1.0)
+        v[0, 1] = v[1, 0] = 0.25
+        assert not g.values.flags.writeable and np.shares_memory(g.values, v)
+
+
+class TestKernelConfigAndInfo:
+    def test_config_is_the_sequence_of_x_y_z_specs(self):
+        a, b = KernelSpec(family="linear"), KernelSpec(bandwidth=2.0)
+        cfg = KernelConfig(x=a, z=b)
+        assert list(cfg) == [a, KernelSpec(), b]
+        assert (cfg.x, cfg.y, cfg.z) == tuple(cfg)
+
+    def test_kernel_info_reads_the_resolved_rows(self, rng):
+        s = Sample(rng.standard_normal((12, 2)), "s")
+        assert kernel_info(kernel_rows(s, KernelSpec(family="linear"))) == {
+            "family": "linear", "bandwidth": None
+        }
+        assert kernel_info(kernel_rows(s, KernelSpec(bandwidth=1.5))) == {
+            "family": "gaussian", "bandwidth": 1.5
+        }
+        assert kernel_info(kernel_rows(s, KernelSpec())) == {
+            "family": "gaussian", "bandwidth": median_heuristic(s)
+        }
 
 
 class TestGramLinear:

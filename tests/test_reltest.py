@@ -56,6 +56,12 @@ class TestNormalCdf:
 
 
 class TestRotationMatrix:
+    def test_caller_matrix_stays_writable(self):
+        q = np.eye(2)
+        r = RotationMatrix(q)
+        q[0, 0] = 2.0
+        assert not r.q.flags.writeable and np.shares_memory(r.q, q)
+
     def test_aligned_vector_gives_identity(self):
         r = rotation_matrix([1.0, 0.0, 0.0])
         assert np.array_equal(r.q, np.eye(3))
@@ -315,6 +321,19 @@ class TestJointSummaryAndGeneralized:
         assert summary.means[1] == pytest.approx(e_xz.value, rel=1e-14)
         assert summary.covariance[0, 0] == pytest.approx(cov[0, 0], rel=1e-14)
         assert summary.covariance[0, 1] == pytest.approx(cov[0, 1], rel=1e-14)
+
+    def test_caller_arrays_stay_writable(self):
+        means, cov = np.array([1.0, 0.5]), np.eye(2)
+        summary = JointGaussianSummary(means, cov, m=200)
+        means[0], cov[0, 0] = 2.0, 3.0
+        for held, given in ((summary.means, means), (summary.covariance, cov)):
+            assert not held.flags.writeable and np.shares_memory(held, given)
+
+    def test_kernel_config_needs_one_spec_per_sample(self, rng):
+        # A KernelConfig is three specs; a fourth sample has none.
+        samples = [Sample(rng.standard_normal((12, 2)), f"v{k}") for k in range(4)]
+        with pytest.raises(ValueError, match="3 kernel specs for 4 samples; need one per"):
+            joint_summary(samples, [(0, 1), (0, 3)], KernelConfig())
 
     def test_kernel_spec_count_must_match_samples(self, rng):
         samples = [Sample(rng.standard_normal((12, 2)), f"v{k}") for k in range(4)]

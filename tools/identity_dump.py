@@ -12,7 +12,8 @@ test on each summary, over 120 seeds at m in {20, 23, 120, 400} and 5
 seeds at m = 1000, whose tiles no longer all fit the keep budget, with the
 default kernels and with linear-x/bandwidth-y.  Then it prints the stdout
 and output files of ``reldep test`` (the README's four forms and
-``--format csv``), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
+``--format csv``, and kernel flags on the ``--pairs`` route with four and
+with two files), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
 ``converge``, each line as the ``repr`` of its text with its line ending,
 so a change of line endings shows.  It runs in a fresh temporary
 directory, so two trees give the same file names.
@@ -96,6 +97,11 @@ CLI_RUNS = (
     ["test", "x.csv", "y.csv", "z.csv", "--format", "csv"],
     ["test", "x.csv", "y.csv", "z.csv", "t3.csv", "--pairs", "0-1,0-2,0-3",
      "--weights", "1,1,-2", "--format", "csv"],
+    ["test", "x.csv", "y.csv", "z.csv", "t3.csv", "--pairs", "0-1,0-2,0-3,1-3",
+     "--weights", "1,1,-2,0.5", "--kernel-x", "linear", "--bandwidth-y", "1.3",
+     "--bandwidth-z", "0.9"],
+    ["test", "x.csv", "y.csv", "--pairs", "0-1,1-0", "--weights", "1,0.5",
+     "--kernel-y", "linear"],
     ["hsic", "x.csv", "y.csv"],
     ["hsic", "x.csv", "y.csv", "--kernel-x", "linear", "--bandwidth-y", "0.9"],
     ["power", "--gamma3", "0.4:0.4:1.2", "--m", "60", "--trials", "4", "--seed", "1",
