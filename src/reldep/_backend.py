@@ -10,15 +10,24 @@ squared distances, their Gaussian map or the linear inner products of a
 * ``hsic_h_reductions`` forms the row sums, the row sums of K o L and the
   matvecs K l_row that the unbiased HSIC estimator and its h-vector need.
 
-Their memory is O(m) plus a few tiles, and at most ``KEEP_BYTES`` of
-tiles kept between the two sweeps of ``hsic_h_reductions``.  The dense
-fill ``fill_square`` writes the same tiles into one m x m matrix from
-``square_buffer``, which refuses sizes that cannot fit in physical
-memory; it serves the dense public API and the oracles.
+Their memory is O(m) plus a few tiles and the kept tiles, which are of
+two kinds.  When one variable's padded upper distance tiles fit in
+``KEEP_BYTES // 4`` (m up to 616: the m=500 tests and the m=250 split
+halves), its median pass forms them once into one block on its
+``TileRows``.  The bracket sample reads pool values from the block, the
+selection pass (and any retry after a bracket miss) reads the block
+whole, and the first sweep of ``hsic_h_reductions`` maps its tiles to the
+Gaussian kernel in place and keeps them for the second.  Other tiles of
+the first sweep are kept for the second in what the blocks leave of
+``KEEP_BYTES``, so the three or four variables of a test keep at most
+``KEEP_BYTES`` in all.  Either way a kept tile has the bits of one formed
+anew.  The dense fill ``fill_square`` writes the same tiles into one
+m x m matrix from ``square_buffer``, which refuses sizes that cannot fit
+in physical memory; it serves the dense public API and the oracles.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,9 +39,11 @@ from reldep.dataset import PreconditionError
 # register tiles.
 TILE = 256
 
-# Bytes of kernel tiles that hsic_h_reductions keeps from its first sweep
-# for its second instead of recomputing them.  A kept tile has the same
-# bits as a recomputed one, so this changes time, never results.
+# Bytes of tiles kept instead of recomputed: a quarter of it for the
+# distance tiles of each variable the median pass forms, all of it, less
+# those, for what hsic_h_reductions keeps from its first sweep for its
+# second.  A kept tile has the same bits as a recomputed one, so this
+# changes time, never results; 0 turns keeping off.
 KEEP_BYTES = 8 << 20
 
 # Sampled pairs per chunk when the selection bracket is drawn.
@@ -52,12 +63,19 @@ class TileRows:
     the rows (||x_i||^2, 1), the tiles hold squared distances of the rows
     of ``x``, mapped through exp(-d2 / (2 sigma^2)) when ``sigma`` is set;
     without, they hold inner products (the linear kernel).
+
+    ``kept`` holds at most one block: all padded upper distance tiles of
+    the rows, left by ``sq_distance_order_stats`` when they fit in
+    ``KEEP_BYTES // 4``.  ``hsic_h_reductions`` takes the block and maps it
+    in place, so it is used once; ``dataclasses.replace`` (which sets
+    ``sigma`` after the median pass) shares it with the new rows.
     """
 
     x: np.ndarray
     m: int
     norms: np.ndarray | None = None
     sigma: float | None = None
+    kept: list = field(default_factory=list, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,6 +127,33 @@ def _tiles(m: int):
 
 
 @lru_cache(maxsize=16)
+def _layout(m: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where the padded upper tiles of m rows sit in one kept block.
+
+    Returns the start of tile (I, J) by tile row and column, the padded
+    height of each tile row and the block's length; the tiles follow
+    ``_tiles`` order.
+    """
+    padded = np.array([h + -h % 8 for h in (min(TILE, m - i0) for i0 in range(0, m, TILE))])
+    starts, size = np.zeros((padded.size, padded.size), dtype=np.intp), 0
+    for i0, _, j0, _ in _tiles(m):
+        starts[i0 // TILE, j0 // TILE] = size
+        size += int(padded[i0 // TILE] * padded[j0 // TILE])
+    for a in (starts, padded):
+        a.setflags(write=False)
+    return starts, padded, size
+
+
+def _kept_tiles(m: int, block: np.ndarray):
+    """((i0, i1, j0, j1), padded tile) of a kept block, in ``_tiles`` order."""
+    starts, padded, _ = _layout(m)
+    for i0, i1, j0, j1 in _tiles(m):
+        h, w = padded[i0 // TILE], padded[j0 // TILE]
+        at = starts[i0 // TILE, j0 // TILE]
+        yield (i0, i1, j0, j1), block[at : at + h * w].reshape(h, w)
+
+
+@lru_cache(maxsize=16)
 def _triangles(h: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only h x h masks of the strict upper triangle and of the rest."""
     rest = np.tri(h, h, 0, dtype=bool)
@@ -118,7 +163,9 @@ def _triangles(h: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, rest
 
 
-def _kernel_tile(v: TileRows, i0: int, i1: int, j0: int, j1: int, out, work) -> np.ndarray:
+def _kernel_tile(
+    v: TileRows, i0: int, i1: int, j0: int, j1: int, out, work, fill=0.0
+) -> np.ndarray:
     """Values of v for the row pairs (i0:i1) x (j0:j1), written into the flat ``out``.
 
     The inner products come from one BLAS call on the rows from i0 and j0
@@ -131,10 +178,10 @@ def _kernel_tile(v: TileRows, i0: int, i1: int, j0: int, j1: int, out, work) -> 
     addition, faster than a broadcast add.
 
     A diagonal tile (i0 == j0) keeps only its strict upper triangle and is
-    zero elsewhere, so every unordered pair i < j is in exactly one tile
-    once: a tile's row sums go to rows I and its column sums to rows J,
-    the diagonal ones included, and the Gram they describe is exactly
-    symmetric whatever the BLAS does.
+    ``fill`` (zero) elsewhere, so every unordered pair i < j is in exactly
+    one tile once: a tile's row sums go to rows I and its column sums to
+    rows J, the diagonal ones included, and the Gram they describe is
+    exactly symmetric whatever the BLAS does.
     """
     h, w = i1 - i0, j1 - j0
     rows_i, rows_j = slice(i0, i0 + h + -h % 8), slice(j0, j0 + w + -w % 8)
@@ -150,12 +197,23 @@ def _kernel_tile(v: TileRows, i0: int, i1: int, j0: int, j1: int, out, work) -> 
         inner *= 2.0
         np.subtract(blk, inner, out=blk)
         np.maximum(blk, 0.0, out=blk)
-        if v.sigma is not None:
-            blk *= -0.5 / (v.sigma * v.sigma)
-            np.exp(blk, out=blk)
+    return _mapped(v, blk, h, w, i0 == j0, fill)
+
+
+def _mapped(v: TileRows, blk: np.ndarray, h: int, w: int, diagonal: bool, fill=0.0) -> np.ndarray:
+    """The h x w tile of the padded ``blk`` of v's distances or inner products, mapped in place.
+
+    Gaussian rows map the whole padded block through exp(-d2 / (2 sigma^2));
+    a diagonal tile is then set to ``fill`` outside its strict upper
+    triangle.  A kept distance tile goes through exactly these operations,
+    so it ends with the bits of a tile formed anew.
+    """
+    if v.sigma is not None:
+        blk *= -0.5 / (v.sigma * v.sigma)
+        np.exp(blk, out=blk)
     tile = blk[:h, :w]
-    if i0 == j0:
-        np.copyto(tile, 0.0, where=_triangles(h)[1])
+    if diagonal:
+        np.copyto(tile, fill, where=_triangles(h)[1])
     return tile
 
 
@@ -225,13 +283,48 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     only those strictly inside it, which alone are partitioned.  A bracket
     that misses a rank is drawn again from a sample four times larger,
     under another fixed seed; only if that misses too does the pass rerun
-    unbounded, over the whole pool.  The result is exact either way.
+    unbounded, over the whole pool.  The result is exact either way.  When
+    the tiles fit in ``KEEP_BYTES // 4`` they are formed once, into the
+    block that ``v.kept`` then holds, and every pass reads them from there.
     """
+    _keep_distance_tiles(v)
     for attempt in range(2):
         found = _select_in_bracket(v, k1, k2, *_sample_bracket(v, k1, k2, attempt))
         if found is not None:
             return found
     return _select_in_bracket(v, k1, k2, -np.inf, np.inf)
+
+
+def _keep_distance_tiles(v: TileRows) -> None:
+    """Form v's padded upper distance tiles into one block on ``v.kept`` if it fits KEEP_BYTES // 4.
+
+    The block's places that hold no pair i < j are NaN, which no
+    comparison of the selection counts; the kernel map zeroes those that
+    its tiles show.
+    """
+    size = _layout(v.m)[2]
+    if v.kept or 8 * size > KEEP_BYTES // 4:
+        return
+    block, work = np.empty(size), np.empty(TILE * TILE)
+    for (i0, i1, j0, j1), blk in _kept_tiles(v.m, block):
+        _kernel_tile(v, i0, i1, j0, j1, blk.reshape(-1), work, fill=np.nan)
+        blk[i1 - i0 :] = blk[:, j1 - j0 :] = np.nan
+    v.kept.append(block)
+
+
+def _pool_parts(v: TileRows):
+    """Arrays that together hold v's pool of squared distances, and NaN at any place outside it.
+
+    That is the kept block whole, else each upper tile's pairs i < j,
+    formed one by one.
+    """
+    if v.kept:
+        yield v.kept[0]
+        return
+    out, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
+    for i0, i1, j0, j1 in _tiles(v.m):
+        d2 = _kernel_tile(v, i0, i1, j0, j1, out, work)
+        yield d2[_triangles(i1 - i0)[0]] if i0 == j0 else d2
 
 
 @lru_cache(maxsize=4)
@@ -247,24 +340,38 @@ def _sample_pairs(m: int, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     return pairs
 
 
+@lru_cache(maxsize=4)
+def _block_index(m: int, size: int, seed: int) -> np.ndarray:
+    """Positions in a kept block of the pairs of ``_sample_pairs``."""
+    starts, padded, _ = _layout(m)
+    i, j = _sample_pairs(m, size, seed)
+    at = starts[i // TILE, j // TILE] + i % TILE * padded[j // TILE] + j % TILE
+    at.setflags(write=False)
+    return at
+
+
 def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[float, float]:
     """Values [lo, hi] that bracket pool ranks k1 <= k2 with high probability.
 
     Takes 4^attempt n^(2/3) pairs of the n-pair pool, drawn with the seed
     ``attempt``, and reads the sample's order statistics at the scaled
     ranks, widened by about five standard deviations of a sample rank; a
-    bracket edge beyond the sample is infinite.  The sampled distances are
-    taken directly, in chunks; the bracket only bounds the pass, so their
+    bracket edge beyond the sample is infinite.  With a kept block the
+    sample reads the pool values there; without, the sampled distances are
+    taken directly, in chunks.  The bracket only bounds the pass, so their
     last bits do not matter.
     """
     m = v.m
     n = m * (m - 1) // 2
     size = int(n ** (2.0 / 3.0)) * 4**attempt
-    rows_i, rows_j = _sample_pairs(m, size, attempt)
-    sample = np.empty(size)
-    for c in range(0, size, _SAMPLE_CHUNK):
-        diff = v.x[rows_i[c : c + _SAMPLE_CHUNK]] - v.x[rows_j[c : c + _SAMPLE_CHUNK]]
-        np.einsum("ij,ij->i", diff, diff, out=sample[c : c + _SAMPLE_CHUNK])
+    if v.kept:
+        sample = v.kept[0][_block_index(m, size, attempt)]
+    else:
+        rows_i, rows_j = _sample_pairs(m, size, attempt)
+        sample = np.empty(size)
+        for c in range(0, size, _SAMPLE_CHUNK):
+            diff = v.x[rows_i[c : c + _SAMPLE_CHUNK]] - v.x[rows_j[c : c + _SAMPLE_CHUNK]]
+            np.einsum("ij,ij->i", diff, diff, out=sample[c : c + _SAMPLE_CHUNK])
     gap = int(2.5 * size**0.5) + 1
     lo_rank = k1 * size // n - gap
     hi_rank = (k2 + 1) * size // n + gap
@@ -279,19 +386,16 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
 def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
     """Pool order statistics k1 <= k2 if [lo, hi] (lo <= hi) holds both, else None.
 
-    One pass over the upper distance tiles counts the values below lo,
-    those equal to lo and those equal to hi, and collects only the values
-    strictly between.  A rank that lands on an edge is answered from the
-    counts, so ties at lo or hi cost no memory, however many there are.
-    The equality tests run on each tile's in-bracket values only.
+    One pass over the pool (``_pool_parts``: the kept block whole, whose
+    NaN no comparison counts, else tile by tile) counts the values below
+    lo, those equal to lo and those equal to hi, and collects only the
+    values strictly between.  A rank that lands on an edge is answered
+    from the counts, so ties at lo or hi cost no memory, however many
+    there are.  The equality tests run on the in-bracket values only.
     """
     below = at_lo = at_edges = 0
     inside = []
-    out, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
-    for i0, i1, j0, j1 in _tiles(v.m):
-        d2 = _kernel_tile(v, i0, i1, j0, j1, out, work)
-        if i0 == j0:
-            d2 = d2[_triangles(i1 - i0)[0]]
+    for d2 in _pool_parts(v):
         low = d2 < lo
         below += np.count_nonzero(low)
         keep = d2 <= hi
@@ -329,10 +433,14 @@ def hsic_h_reductions(*variables: TileRows, pairs):
     and the same for the products of the paired tiles.  The second forms
     the tiles again and adds K_IJ times the partners' row sums of J to
     rows I and K_IJ' times those of I to rows J, one matrix product per
-    variable.  Tiles of the first sweep are kept for the second while they
-    fit in ``KEEP_BYTES``.  An input that overflows (a linear kernel on
-    huge data) gives inf or nan here, without a warning, for the
-    estimator's finiteness check to refuse.
+    variable.  A variable whose median pass kept its distance tiles
+    (``TileRows.kept``) gives up the block here: the first sweep maps its
+    tiles in place and the second reads them, so the same rows passed
+    again form their tiles anew.  The other variables' tiles of the first
+    sweep are kept for the second while they fit in what the blocks leave
+    of ``KEEP_BYTES``.  An input that overflows (a linear kernel on huge
+    data) gives inf or nan here, without a warning, for the estimator's
+    finiteness check to refuse.
     """
     n, m = len(variables), variables[0].m
     partners = [sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v})
@@ -340,24 +448,31 @@ def hsic_h_reductions(*variables: TileRows, pairs):
     row_sums = np.zeros((n, m))
     kl_rows = np.zeros((len(pairs), m))
     work, ones = np.empty(TILE * TILE), np.ones(TILE)
-    # One block for the kept tiles: only the pages they use are touched,
-    # and one allocation is reused by the allocator from call to call.
-    store, used, kept = np.empty(KEEP_BYTES // 8), 0, []
-    outs = None
+    blocks = [v.kept.pop() if v.kept else None for v in variables]
+    own = [None if b is None else _kept_tiles(m, b) for b in blocks]
+    fresh = sum(b is None for b in blocks)
+    # The other kept tiles share one block, what the variables' own blocks
+    # leave of KEEP_BYTES: only the pages they use are touched, and one
+    # allocation is reused by the allocator from call to call.
+    store = np.empty(max(KEEP_BYTES // 8 - sum(b.size for b in blocks if b is not None), 0))
+    used, kept, outs = 0, [], None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, i1, j0, j1 in _tiles(m):
             h, w = i1 - i0, j1 - j0
-            size = n * (h + -h % 8) * (w + -w % 8)  # this step's padded tiles
-            keep = used + size <= store.size
-            if keep:
-                bufs = store[used : used + size].reshape(n, -1)
-                used += size
-            else:
-                outs = np.empty((n, TILE * TILE)) if outs is None else outs
-                bufs = outs
-            tiles = [_kernel_tile(v, i0, i1, j0, j1, buf, work) for v, buf in zip(variables, bufs)]
-            kept.append(tiles if keep else None)
+            size = (h + -h % 8) * (w + -w % 8)  # one padded tile
+            keep = used + fresh * size <= store.size
+            if not keep and outs is None:
+                outs = np.empty((n, TILE * TILE))
+            tiles = []
+            for v, tiles_v in zip(variables, own):
+                if tiles_v is not None:
+                    tiles.append(_mapped(v, next(tiles_v)[1], h, w, i0 == j0))
+                    continue
+                buf = store[used : used + size] if keep else outs[len(tiles)]
+                used += size if keep else 0
+                tiles.append(_kernel_tile(v, i0, i1, j0, j1, buf, work))
+            kept.append([t if keep or o is not None else None for t, o in zip(tiles, own)])
             for v, tile in enumerate(tiles):
                 row_sums[v, i0:i1] += tile @ ones[:w]
                 row_sums[v, j0:j1] += ones[:h] @ tile
@@ -369,11 +484,11 @@ def hsic_h_reductions(*variables: TileRows, pairs):
         sums = [np.ascontiguousarray(row_sums[ps].T) for ps in partners]
         products = [np.zeros((m, len(ps))) for ps in partners]
         for (i0, i1, j0, j1), tiles in zip(_tiles(m), kept):
-            if tiles is None:
-                tiles = [_kernel_tile(v, i0, i1, j0, j1, buf, work) for v, buf in zip(variables, outs)]
-            for tile, s, acc in zip(tiles, sums, products):
-                acc[i0:i1] += tile @ s[j0:j1]
-                acc[j0:j1] += tile.T @ s[i0:i1]
+            for v, tile in enumerate(tiles):
+                if tile is None:
+                    tile = _kernel_tile(variables[v], i0, i1, j0, j1, outs[v], work)
+                products[v][i0:i1] += tile @ sums[v][j0:j1]
+                products[v][j0:j1] += tile.T @ sums[v][i0:i1]
 
     per_pair = [
         (kl_rows[p], products[a][:, partners[a].index(b)], products[b][:, partners[b].index(a)])

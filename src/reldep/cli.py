@@ -99,7 +99,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _spec(args, var: str) -> KernelSpec:
-    return KernelSpec(getattr(args, f"kernel_{var}"), getattr(args, f"bandwidth_{var}"))
+    return KernelSpec(getattr(args, f"kernel_{var}") or GAUSSIAN, getattr(args, f"bandwidth_{var}"))
 
 
 def _csv_cell(value):
@@ -145,6 +145,11 @@ def _check_route(args) -> None:
         raise CliError("--shuffle-split applies only with --method independent")
     if (args.pairs or args.weights) and args.method is not None:
         raise CliError("--method does not apply with --pairs/--weights")
+    if args.pairs or args.weights:
+        for var in "xyz"[len(args.inputs) :]:
+            for flag in (f"--kernel-{var}", f"--bandwidth-{var}"):
+                if getattr(args, flag[2:].replace("-", "_")) is not None:
+                    raise CliError(f"{flag} has no input file: {len(args.inputs)} given")
 
 
 def cmd_test(args) -> int:
@@ -312,8 +317,7 @@ def _add_kernel_flags(p, variables: str):
         p.add_argument(
             f"--kernel-{var}",
             choices=[GAUSSIAN, LINEAR],
-            default=GAUSSIAN,
-            help=f"kernel for {var}",
+            help=f"kernel for {var} (default: {GAUSSIAN})",
         )
         p.add_argument(
             f"--bandwidth-{var}",

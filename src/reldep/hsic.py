@@ -89,10 +89,13 @@ def _falling3(n: int) -> float:
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a @ b, from fixed chunks that OpenBLAS keeps on one thread (``_DOT_CHUNK``).
 
-    Up to ``_DOT_CHUNK`` elements it is the one BLAS call; longer vectors
+    Up to ``_DOT_CHUNK`` elements it is the one BLAS call, plus 0.0 so that
+    -0.0 reads +0.0 as the ``fsum`` of one chunk would; longer vectors
     ``fsum`` the dots of fixed chunks of that length.  A sum that overflows
     gives inf or nan, as the one call would.
     """
+    if a.shape[0] <= _DOT_CHUNK:
+        return float(a @ b) + 0.0
     parts = [
         float(a[c : c + _DOT_CHUNK] @ b[c : c + _DOT_CHUNK])
         for c in range(0, a.shape[0], _DOT_CHUNK)

@@ -404,3 +404,130 @@ class TestStreamedReductions:
         assert recomputed[0] == default[0]
         assert np.array_equal(recomputed[1].means, default[1].means)
         assert np.array_equal(recomputed[1].covariance, default[1].covariance)
+
+
+def curve_sample(rng, m):
+    """x and y on a shared curve, z independent: a dependent test with signal."""
+    t = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    return align(
+        Sample(np.column_stack([t, np.sin(t)]) + 0.3 * rng.standard_normal((m, 2))),
+        Sample(np.column_stack([np.cos(t), t]) + 0.5 * rng.standard_normal((m, 2))),
+        Sample(rng.standard_normal((m, 3))),
+    )
+
+
+def block_bytes(m):
+    """Bytes of one variable's kept block of padded upper distance tiles."""
+    return 8 * _backend._layout(m)[2]
+
+
+class TestKeptDistanceTiles:
+    """The median pass's kept distance tiles change time, never a bit."""
+
+    def results(self, j):
+        from reldep.reltest import independent_test
+
+        dep, ind = dependent_test(j), independent_test(j)
+        return dep, ind, dep.summary.covariance.tobytes(), ind.summary.covariance.tobytes()
+
+    @pytest.mark.parametrize("m", [250, TILE, TILE + 1, 500, 2 * TILE, 616, 617])
+    def test_tests_and_bandwidths_bitwise(self, rng, monkeypatch, m):
+        from reldep.kernels import kernel_rows
+
+        j = curve_sample(rng, m)
+        assert bool(kernel_rows(j.x, KernelSpec()).kept) == (m <= 616)
+        kept = self.results(j), median_heuristic(j.y)
+        monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
+        assert not kernel_rows(j.x, KernelSpec()).kept
+        assert (self.results(j), median_heuristic(j.y)) == kept
+
+    @pytest.mark.parametrize("spare", [0, -8])
+    def test_budget_edge_bitwise(self, rng, monkeypatch, spare):
+        from reldep.kernels import kernel_rows
+
+        m = 500
+        j = curve_sample(rng, m)
+        monkeypatch.setattr(_backend, "KEEP_BYTES", 4 * (block_bytes(m) + spare))
+        assert bool(kernel_rows(j.x, KernelSpec()).kept) == (spare == 0)
+        edge = self.results(j)
+        monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
+        assert self.results(j) == edge
+
+    def test_rows_reused_form_their_tiles_anew(self, rng):
+        from reldep.hsic import hsic_estimates
+        from reldep.kernels import kernel_rows
+
+        j = curve_sample(rng, 300)
+        rows = [kernel_rows(s, KernelSpec()) for s in j.samples]
+        assert all(r.kept for r in rows)
+        pairs, labels = [(0, 1), (0, 2)], ["xy", "xz"]
+        first = hsic_estimates(rows, pairs, labels)
+        assert not any(r.kept for r in rows)
+        second = hsic_estimates(rows, pairs, labels)
+        for a, b in zip(first, second):
+            assert a.value == b.value
+            assert a.h_vector.tobytes() == b.h_vector.tobytes()
+
+    def test_same_rows_twice_in_one_call(self, rng):
+        from reldep.hsic import hsic_estimates
+        from reldep.kernels import kernel_rows
+
+        s = Sample(rng.standard_normal((300, 2)))
+        rows, fresh = kernel_rows(s, KernelSpec()), kernel_rows(s, KernelSpec())
+        fresh.kept.clear()
+        twice = hsic_estimates([rows, rows], [(0, 1)], ["xx"])[0]
+        formed = hsic_estimates([fresh, fresh], [(0, 1)], ["xx"])[0]
+        assert twice.value == formed.value
+        assert twice.h_vector.tobytes() == formed.h_vector.tobytes()
+
+    def test_forced_bracket_miss_reads_the_kept_tiles(self, rng, monkeypatch):
+        m = 500
+        x = rng.standard_normal((m, 2))
+        pool = sorted_pool(_backend.pairwise_sq_dists(x))
+        k1, k2 = pool.size // 2 - 1, pool.size // 2
+        miss = (pool[k2 + 10], pool[k2 + 20])
+        select, kept_at_select = _backend._select_in_bracket, []
+
+        def spy(v, *args):
+            kept_at_select.append(bool(v.kept))
+            return select(v, *args)
+
+        monkeypatch.setattr(_backend, "_sample_bracket", lambda *args: miss)
+        monkeypatch.setattr(_backend, "_select_in_bracket", spy)
+        rows = _backend.distance_rows(x)
+        assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
+        assert kept_at_select == [True, True, True]
+
+    def test_bracket_sample_reads_pool_values(self, rng):
+        x = rng.standard_normal((300, 2))
+        rows = _backend.distance_rows(x)
+        _backend._keep_distance_tiles(rows)
+        n = 300 * 299 // 2
+        lo, hi = _backend._sample_bracket(rows, n // 2 - 1, n // 2)
+        pool = _backend.pairwise_sq_dists(x)
+        assert lo in pool and hi in pool
+
+    def test_kept_tiles_stay_within_keep_bytes(self, rng, monkeypatch):
+        m = 500
+        j = curve_sample(rng, m)
+        reductions, carried = _backend.hsic_h_reductions, []
+
+        def spy(*variables, pairs):
+            carried.append(sum(v.kept[0].nbytes for v in variables if v.kept))
+            return reductions(*variables, pairs=pairs)
+
+        monkeypatch.setattr(_backend, "hsic_h_reductions", spy)
+        peaks = []
+        for keep_bytes in (_backend.KEEP_BYTES, 0):
+            monkeypatch.setattr(_backend, "KEEP_BYTES", keep_bytes)
+            dependent_test(j)  # warm the caches outside the trace
+            tracemalloc.start()
+            try:
+                dependent_test(j)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        keep_bytes = 8 << 20
+        assert carried[0] == 3 * block_bytes(m) <= keep_bytes
+        assert carried[2] == 0
+        assert peaks[0] - peaks[1] <= keep_bytes

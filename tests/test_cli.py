@@ -163,6 +163,27 @@ class TestCmdTest:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--kernel-z", "linear"], "--kernel-z"),
+            (["--kernel-z", "gaussian"], "--kernel-z"),
+            (["--bandwidth-z", "0.9"], "--bandwidth-z"),
+        ],
+    )
+    def test_kernel_flags_without_a_file_exit_2(self, capsys, xyz_files, flags, named):
+        x, y, _ = xyz_files
+        assert main(["test", x, y, "--pairs", "0-1,1-0", "--weights", "1,-1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named} has no input file")
+        assert captured.out == ""
+
+    def test_kernel_flags_with_a_file_accepted(self, capsys, xyz_files):
+        x, y, _ = xyz_files
+        argv = ["test", x, y, "--pairs", "0-1,1-0", "--weights", "1,-1", "--kernel-y", "linear"]
+        assert main([*argv, "--bandwidth-x", "0.9"]) == 0
+        assert json.loads(capsys.readouterr().out)["kernel"]["1"]["family"] == "linear"
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--method", "dependent"],

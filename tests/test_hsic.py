@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from reldep.hsic import (
     H_SUM_RATIO,
     VARIANCE_FLOOR,
     HsicEstimate,
+    _DOT_CHUNK,
+    _dot,
     _from_reductions,
     covariance_summary,
     cross_covariance,
@@ -316,3 +319,40 @@ def test_long_dot_whose_chunks_overflow_is_refused_as_overflow():
     ones = np.ones(m)
     with pytest.raises(PreconditionError, match="overflows float64"):
         _from_reductions(m, k_row, 1e10 * ones, ones, ones, ones, "0-1")
+
+
+def chunked_dot(a, b):
+    """a @ b as the fsum of chunk dots, the form _dot takes above _DOT_CHUNK."""
+    chunks = range(0, a.size, _DOT_CHUNK)
+    parts = [float(a[c : c + _DOT_CHUNK] @ b[c : c + _DOT_CHUNK]) for c in chunks]
+    try:
+        return math.fsum(parts)
+    except (OverflowError, ValueError):
+        return sum(parts)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([-0.0], [1.0]),
+        ([0.0], [-1.0]),
+        ([-0.0, 0.0], [1.0, -1.0]),
+        ([0.0], [0.0]),
+        ([np.inf, 1.0], [1.0, 2.0]),
+        ([-np.inf, 1.0], [1.0, 2.0]),
+        ([np.inf, -np.inf], [1.0, 1.0]),
+        ([np.nan, 1.0], [1.0, 2.0]),
+        ([1e300, 1e300], [1e300, 1e300]),
+        ([1.5, -2.25, 3.0], [0.1, 0.2, 0.3]),
+    ],
+)
+def test_short_dot_matches_the_chunked_form(a, b):
+    a, b = np.array(a), np.array(b)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _from_reductions
+        assert repr(_dot(a, b)) == repr(chunked_dot(a, b))
+
+
+@pytest.mark.parametrize("m", [0, 1, 999, _DOT_CHUNK, _DOT_CHUNK + 1])
+def test_dot_matches_the_chunked_form_at_every_length(m):
+    a, b = np.random.default_rng(m).standard_normal((2, m))
+    assert _dot(a, b).hex() == chunked_dot(a, b).hex()

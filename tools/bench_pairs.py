@@ -7,7 +7,10 @@
 For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
 each tree, alternating which tree goes first.  Each end-to-end metric is
 summarised per tree as median and quartiles, with the number of pairs the
-change won (ties count for neither).  ``--trace 1`` runs on the trace
+change won (ties count for neither).  So is the raw, unbounded
+``trials_per_s`` of each run's ``.bench_out`` record, under
+``trials_per_s``: it follows the host's speed, but it is the Monte-Carlo
+throughput itself.  ``--trace 1`` runs on the trace
 seeds give per-layer medians of the backend kernels.  The environment
 stamp is the change's first run's.  A run that fails its reference check
 or exits nonzero stops the script.
@@ -41,8 +44,9 @@ def run(tree, workload, seed, trace):
     if proc.returncode or not result["correct"]:
         sys.exit(f"{tree}: {' '.join(cmd[1:])} failed:\n{proc.stderr[-2000:]}")
     record = Path(tree) / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
-    env = json.loads(record.read_text())["env"]
-    return {k: v["value"] for k, v in result["metrics"].items()}, env
+    record = json.loads(record.read_text())
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    return metrics, record["raw"].get("trials_per_s", {}).get("value"), record["env"]
 
 
 def quartiles(values):
@@ -61,13 +65,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     trees = {"base": args.base, "change": args.change}
     out = {"env": None, "seeds": args.seeds, "trace_seeds": args.trace_seeds,
-           "end_to_end": {}, "layers": {}}
+           "end_to_end": {}, "trials_per_s": {}, "layers": {}}
     for workload in args.workloads:
-        runs = {"base": [], "change": []}
+        runs, trials = {"base": [], "change": []}, {"base": [], "change": []}
         for i, seed in enumerate(args.seeds):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                metrics, env = run(trees[side], workload, seed, 0)
+                metrics, trials_per_s, env = run(trees[side], workload, seed, 0)
                 runs[side].append(metrics)
+                trials[side].append(trials_per_s)
                 if side == "change" and out["env"] is None:
                     out["env"] = env
                 print(workload, seed, side, metrics, file=sys.stderr, flush=True)
@@ -82,6 +87,7 @@ def main(argv=None):
                 "pairs": len(base),
             }
         out["end_to_end"][workload] = summary
+        out["trials_per_s"][workload] = {side: quartiles(t) for side, t in trials.items()}
         layers = {}
         for side in ("base", "change"):
             traced = [run(trees[side], workload, seed, 1)[0] for seed in args.trace_seeds]
