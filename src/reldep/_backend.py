@@ -10,20 +10,17 @@ squared distances, their Gaussian map or the linear inner products of a
 * ``hsic_h_reductions`` forms the row sums, the row sums of K o L and the
   matvecs K l_row that the unbiased HSIC estimator and its h-vector need.
 
-Their memory is O(m) plus a few tiles and the kept tiles, which are of
-two kinds.  When one variable's padded upper distance tiles fit in
-``KEEP_BYTES // 4`` (m up to 616: the m=500 tests and the m=250 split
-halves), its median pass forms them once into one block on its
-``TileRows``.  The bracket sample reads pool values from the block, the
-selection pass (and any retry after a bracket miss) reads the block
-whole, and the first sweep of ``hsic_h_reductions`` maps its tiles to the
-Gaussian kernel in place and keeps them for the second.  Other tiles of
-the first sweep are kept for the second in what the blocks leave of
-``KEEP_BYTES``, so the three or four variables of a test keep at most
-``KEEP_BYTES`` in all.  Either way a kept tile has the bits of one formed
-anew.  The dense fill ``fill_square`` writes the same tiles into one
-m x m matrix from ``square_buffer``, which refuses sizes that cannot fit
-in physical memory; it serves the dense public API and the oracles.
+Rounding can leave a squared distance slightly below zero.  The tile
+keeps it so, and max(d2, 0) is taken where it is read: in the Gaussian
+map, the dense fill and on the selected order statistics.  That changes
+no bit, as max(., 0) is monotone.  Memory is O(m) plus a few tiles and
+the kept tiles: a variable whose padded upper distance tiles fit in
+``KEEP_BYTES // 4`` (m up to 616) keeps them in one block from its median
+pass to its sweeps, and other tiles of the first sweep are kept for the
+second in what the blocks leave of ``KEEP_BYTES``.  A kept tile has the
+bits of one formed anew.  The dense fill ``fill_square`` writes the same
+tiles into one m x m matrix from ``square_buffer``, which refuses sizes
+that cannot fit in physical memory; it serves the dense API and oracles.
 """
 
 import os
@@ -62,7 +59,8 @@ class TileRows:
     ``x`` holds the m rows zero-padded to a multiple of 8.  With ``norms``,
     the rows (||x_i||^2, 1), the tiles hold squared distances of the rows
     of ``x``, mapped through exp(-d2 / (2 sigma^2)) when ``sigma`` is set;
-    without, they hold inner products (the linear kernel).
+    without, they hold inner products (the linear kernel).  ``twice`` is 2x
+    for the distance GEMM (one more m x d array), or None if not exact.
 
     ``kept`` holds at most one block: all padded upper distance tiles of
     the rows, left by ``sq_distance_order_stats`` when they fit in
@@ -76,6 +74,7 @@ class TileRows:
     norms: np.ndarray | None = None
     sigma: float | None = None
     kept: list = field(default_factory=list, repr=False)
+    twice: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -93,12 +92,18 @@ def distance_rows(x: np.ndarray) -> TileRows:
 
     Centres each column at its midrange, which leaves every distance
     unchanged; the tiles then use the expansion
-    ||a-b||^2 = ||a||^2 + ||b||^2 - 2<a,b>, clipped at zero to kill the
-    tiny negatives the cancellation can produce.  Without the centring the
+    ||a-b||^2 = ||a||^2 + ||b||^2 - 2<a,b>, whose cancellation can leave
+    tiny negatives for the readers to clamp.  Without the centring the
     expansion cancels catastrophically on data far from the origin.  The
     midrange, unlike the mean, does not depend on the row order.  A centred
     squared norm above a quarter of the largest float64 could overflow the
     expansion, so it raises PreconditionError before any tile is formed.
+
+    The rows are stored doubled too, so the tiles' GEMM gives 2<a, b>:
+    (2a).b rounds to 2(a.b) unless a partial result is subnormal and
+    inexact.  Entries of at least 2^-485 are multiples of 2^-537, whose
+    products and sums are multiples of 2^-1074, exact when subnormal; rows
+    with a smaller nonzero entry are not doubled.
     """
     x = np.asarray(x, dtype=np.float64)
     padded = _padded(x - 0.5 * (x.min(axis=0) + x.max(axis=0)))
@@ -109,7 +114,9 @@ def distance_rows(x: np.ndarray) -> TileRows:
             f"data too large for squared distances: a centred row has squared"
             f" norm {peak:.3g}, above {limit:.3g}; rescale the input"
         )
-    return TileRows(padded, x.shape[0], np.column_stack([sq, np.ones_like(sq)]))
+    exact = np.abs(padded[padded != 0.0]).min(initial=1.0) >= 2.0**-485
+    return TileRows(padded, x.shape[0], np.column_stack([sq, np.ones_like(sq)]),
+                    twice=2.0 * padded if exact else None)
 
 
 def linear_rows(x: np.ndarray) -> TileRows:
@@ -163,18 +170,15 @@ def _triangles(h: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, rest
 
 
-def _kernel_tile(
-    v: TileRows, i0: int, i1: int, j0: int, j1: int, out, work, fill=0.0
-) -> np.ndarray:
+def _kernel_tile(v: TileRows, i0, i1, j0, j1, out, work, fill=0.0) -> np.ndarray:
     """Values of v for the row pairs (i0:i1) x (j0:j1), written into the flat ``out``.
 
-    The inner products come from one BLAS call on the rows from i0 and j0
-    zero-padded to a multiple of 8, so every call covers whole BLAS
-    register tiles and each pair's bits do not depend on the tile it falls
-    in.  ``work`` (as large as ``out``) holds them for distance tiles,
-    which are (||a||^2 + ||b||^2) - 2<a, b>.  The sums of squared norms
-    come from a BLAS call too, on the rows (||a||^2, 1) and (1, ||b||^2):
-    its products are exact, so each sum is the one correctly rounded
+    Each BLAS call takes the rows from i0 and j0 zero-padded to a multiple
+    of 8, so it covers whole register tiles and a pair's bits do not
+    depend on its tile.  A distance tile is (||a||^2 + ||b||^2) - 2<a, b>,
+    unclamped, with 2<a, b> from ``v.twice`` in ``work`` (as large as
+    ``out``).  The norm sums come from a GEMM on the rows (||a||^2, 1) and
+    (1, ||b||^2), whose exact products make each sum one correctly rounded
     addition, faster than a broadcast add.
 
     A diagonal tile (i0 == j0) keeps only its strict upper triangle and is
@@ -185,8 +189,8 @@ def _kernel_tile(
     """
     h, w = i1 - i0, j1 - j0
     rows_i, rows_j = slice(i0, i0 + h + -h % 8), slice(j0, j0 + w + -w % 8)
-    a, b = v.x[rows_i], v.x[rows_j]
-    if i0 == j0:
+    a, b = (v.x if v.twice is None else v.twice)[rows_i], v.x[rows_j]
+    if i0 == j0 and v.twice is None:
         b = b.copy()  # a @ a.T would take NumPy's slower SYRK path
     blk = out[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
     if v.norms is None:
@@ -194,21 +198,22 @@ def _kernel_tile(
     else:
         inner = np.matmul(a, b.T, out=work[: blk.size].reshape(blk.shape))
         np.matmul(v.norms[rows_i], v.norms[rows_j, ::-1].T, out=blk)
-        inner *= 2.0
+        if v.twice is None:
+            inner *= 2.0
         np.subtract(blk, inner, out=blk)
-        np.maximum(blk, 0.0, out=blk)
     return _mapped(v, blk, h, w, i0 == j0, fill)
 
 
 def _mapped(v: TileRows, blk: np.ndarray, h: int, w: int, diagonal: bool, fill=0.0) -> np.ndarray:
     """The h x w tile of the padded ``blk`` of v's distances or inner products, mapped in place.
 
-    Gaussian rows map the whole padded block through exp(-d2 / (2 sigma^2));
-    a diagonal tile is then set to ``fill`` outside its strict upper
-    triangle.  A kept distance tile goes through exactly these operations,
-    so it ends with the bits of a tile formed anew.
+    Gaussian rows map the whole padded block through
+    exp(-max(d2, 0) / (2 sigma^2)); a diagonal tile is then set to ``fill``
+    outside its strict upper triangle.  A kept distance tile goes through
+    exactly these operations, so it ends with the bits of a tile formed anew.
     """
     if v.sigma is not None:
+        np.maximum(blk, 0.0, out=blk)
         blk *= -0.5 / (v.sigma * v.sigma)
         np.exp(blk, out=blk)
     tile = blk[:h, :w]
@@ -246,13 +251,16 @@ def fill_square(v: TileRows, out: np.ndarray) -> np.ndarray:
     """Fill the m x m ``out`` with v's tiles and their mirror images.
 
     ``out`` is exactly symmetric and zero on the diagonal, and holds
-    exactly the values the streamed passes see; an input that overflows
-    the linear kernel leaves inf there, without a warning.
+    exactly the values the streamed passes see (distances clamped at zero);
+    an input that overflows the linear kernel leaves inf there, without a
+    warning.
     """
     out_tile, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
     with np.errstate(over="ignore"):
         for i0, i1, j0, j1 in _tiles(v.m):
             tile = _kernel_tile(v, i0, i1, j0, j1, out_tile, work)
+            if v.norms is not None and v.sigma is None:
+                np.maximum(tile, 0.0, out=tile)
             if i0 == j0:
                 np.add(tile, tile.T, out=out[i0:i1, i0:i1])  # x + 0 is x, to the bit
             else:
@@ -275,17 +283,16 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
 def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     """k1-th and k2-th smallest squared distance over the unique-pair pool.
 
-    ``v`` holds distance rows (no ``sigma``).  Ranks are 0-based within the
+    ``v`` holds distance rows (no ``sigma``); ranks are 0-based within the
     m(m-1)/2 unordered pairs.  A fixed pseudo-random sample of pairs
     brackets both ranks (Floyd & Rivest 1975, "Expected time bounds for
-    selection").  One pass over the upper distance tiles then counts the
-    pairs below the bracket and those tied with either edge, and collects
-    only those strictly inside it, which alone are partitioned.  A bracket
-    that misses a rank is drawn again from a sample four times larger,
-    under another fixed seed; only if that misses too does the pass rerun
-    unbounded, over the whole pool.  The result is exact either way.  When
-    the tiles fit in ``KEEP_BYTES // 4`` they are formed once, into the
-    block that ``v.kept`` then holds, and every pass reads them from there.
+    selection"), and one pass over the raw distance tiles selects within
+    it (``_select_in_bracket``), clamping the two values at zero: the k-th
+    of the clamped pool is the clamp of the k-th of the raw pool.  A miss
+    is drawn again from a sample four times larger, under another seed;
+    only a second miss reruns the pass unbounded.  The result is exact
+    either way.  When the tiles fit in ``KEEP_BYTES // 4`` they are formed
+    once, into the block that ``v.kept`` then holds, for every pass.
     """
     _keep_distance_tiles(v)
     for attempt in range(2):
@@ -313,11 +320,7 @@ def _keep_distance_tiles(v: TileRows) -> None:
 
 
 def _pool_parts(v: TileRows):
-    """Arrays that together hold v's pool of squared distances, and NaN at any place outside it.
-
-    That is the kept block whole, else each upper tile's pairs i < j,
-    formed one by one.
-    """
+    """Arrays of v's pool, NaN outside it: the kept block, else each tile's pairs i < j in turn."""
     if v.kept:
         yield v.kept[0]
         return
@@ -386,12 +389,13 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
 def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
     """Pool order statistics k1 <= k2 if [lo, hi] (lo <= hi) holds both, else None.
 
-    One pass over the pool (``_pool_parts``: the kept block whole, whose
-    NaN no comparison counts, else tile by tile) counts the values below
-    lo, those equal to lo and those equal to hi, and collects only the
-    values strictly between.  A rank that lands on an edge is answered
-    from the counts, so ties at lo or hi cost no memory, however many
-    there are.  The equality tests run on the in-bracket values only.
+    One pass over the pool (``_pool_parts``, whose NaN no comparison
+    counts) counts the values below lo, those equal to lo and those equal
+    to hi, and collects only the values strictly between.  A rank that
+    lands on an edge is answered from the counts, so ties at lo or hi cost
+    no memory.  ``np.compress`` gathers the in-bracket values, on which
+    alone the equality tests run.  The results are clamped at zero, so a
+    rank below an edge lo <= 0 is 0, not a miss.
     """
     below = at_lo = at_edges = 0
     inside = []
@@ -400,22 +404,20 @@ def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
         below += np.count_nonzero(low)
         keep = d2 <= hi
         keep ^= low  # v < lo implies v <= hi, so this is lo <= v <= hi
-        edge = d2[keep]
+        edge = np.compress(keep.ravel(), d2)
         at_lo += np.count_nonzero(edge == lo)
-        strict = edge > lo
-        strict &= edge < hi
-        part = edge[strict]
+        part = edge[(edge > lo) & (edge < hi)]
         at_edges += edge.size - part.size
         inside.append(part)
     pool = np.concatenate(inside)
     # at_edges - at_lo counts the values equal to hi; none when hi == lo.
-    if not below <= k1 <= k2 < below + pool.size + at_edges:
+    if not (below <= k1 or lo <= 0.0) or not k1 <= k2 < below + pool.size + at_edges:
         return None
     ranks = [k - below - at_lo for k in (k1, k2)]
     within = sorted({r for r in ranks if 0 <= r < pool.size})
     if within:
         pool.partition(within)
-    return tuple(float(lo if r < 0 else pool[r] if r < pool.size else hi) for r in ranks)
+    return tuple(max(float(lo if r < 0 else pool[r] if r < pool.size else hi), 0.0) for r in ranks)
 
 
 def hsic_h_reductions(*variables: TileRows, pairs):
@@ -428,19 +430,17 @@ def hsic_h_reductions(*variables: TileRows, pairs):
     ``k_lrow = K @ l_row`` and ``l_krow = L @ k_row``.  The unbiased
     estimator and its h-vector are O(m) functions of these vectors.
 
-    The first sweep over the upper tiles (I, J) forms each variable's tile
-    once and adds its row sums to rows I and its column sums to rows J,
-    and the same for the products of the paired tiles.  The second forms
-    the tiles again and adds K_IJ times the partners' row sums of J to
-    rows I and K_IJ' times those of I to rows J, one matrix product per
-    variable.  A variable whose median pass kept its distance tiles
-    (``TileRows.kept``) gives up the block here: the first sweep maps its
-    tiles in place and the second reads them, so the same rows passed
-    again form their tiles anew.  The other variables' tiles of the first
-    sweep are kept for the second while they fit in what the blocks leave
-    of ``KEEP_BYTES``.  An input that overflows (a linear kernel on huge
-    data) gives inf or nan here, without a warning, for the estimator's
-    finiteness check to refuse.
+    The first sweep over the upper tiles (I, J) adds each variable's tile
+    row sums to rows I and its column sums to rows J, and the same for the
+    products of the paired tiles.  The second adds K_IJ times the partners'
+    row sums of J to rows I and K_IJ' times those of I to rows J, one
+    matrix product per variable.  A kept block (``TileRows.kept``) is given
+    up here: the first sweep maps its tiles in place and the second reads
+    them, so rows passed again form their tiles anew.  Other tiles of the
+    first sweep are kept for the second in what the blocks leave of
+    ``KEEP_BYTES``, else formed again.  An input that overflows (a linear
+    kernel on huge data) gives inf or nan here, without a warning, for the
+    estimator's finiteness check to refuse.
     """
     n, m = len(variables), variables[0].m
     partners = [sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v})

@@ -2,9 +2,11 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import unfolded_tile
 
 import reldep
 from reldep import _backend
@@ -531,3 +533,102 @@ class TestKeptDistanceTiles:
         assert carried[0] == 3 * block_bytes(m) <= keep_bytes
         assert carried[2] == 0
         assert peaks[0] - peaks[1] <= keep_bytes
+
+
+def parent_tile(v, i0, i1, j0, j1, out, work, fill=0.0):
+    """``_kernel_tile`` of distance rows as it was: max(unfolded, 0) in the tile, then the map."""
+    blk = np.maximum(unfolded_tile(v, i0, i1, j0, j1), 0.0)
+    held = out[: blk.size].reshape(blk.shape)
+    held[...] = blk
+    return _backend._mapped(v, held, i1 - i0, j1 - j0, i0 == j0, fill)
+
+
+def near_duplicates(n):
+    """1-d rows at -1e6 and 1e6 and n rows a few ulps apart just above 5e5.
+
+    The two outer rows pin the midrange at 0, so the centring leaves the
+    cluster far from the origin.  There ||a||^2 + ||b||^2 - 2<a, b> cancels
+    to rounding noise of either sign, so some raw distances are negative.
+    """
+    return np.concatenate([[-1e6, 1e6], 5e5 + np.arange(n) * np.spacing(5e5)])[:, None]
+
+
+def raw_distances(v):
+    """The m x m unclamped distances of v's tiles, from the unfolded formula."""
+    raw = np.zeros((v.m, v.m))
+    for i0, i1, j0, j1 in _backend._tiles(v.m):
+        raw[i0:i1, j0:j1] = unfolded_tile(v, i0, i1, j0, j1)[: i1 - i0, : j1 - j0]
+    return np.triu(raw, 1)
+
+
+class TestNearDuplicatesFarFromOrigin:
+    """Raw distances below 0 are clamped wherever they are read, as before."""
+
+    @pytest.mark.parametrize("n", [300, 700])
+    def test_order_stats_clamp_negative_raw_distances(self, n):
+        # n = 700 is past the kept-block size, so the tiles are formed one
+        # by one.
+        rows = _backend.distance_rows(near_duplicates(n))
+        raw = raw_distances(rows)[np.triu_indices(rows.m, 1)]
+        negative = np.count_nonzero(raw < 0.0)
+        assert negative > 0
+        pool = np.sort(np.maximum(raw, 0.0))
+        for k1, k2 in [(0, negative - 1), (negative - 1, negative),
+                       (pool.size // 2 - 1, pool.size // 2), (0, pool.size - 1)]:
+            assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
+
+    def test_ranks_below_a_zero_bracket_edge_are_zero_without_a_miss(self, monkeypatch):
+        # Ten values, each on 70 rows: the bracket sample takes exact
+        # distances, so it sees the many exact zeros and brackets a low rank
+        # with [0, 0], while the pool holds raw distances below 0 there.
+        x = np.vstack([near_duplicates(0), np.repeat(near_duplicates(10)[2:], 70, axis=0)])
+        rows = _backend.distance_rows(x)
+        raw = raw_distances(rows)[np.triu_indices(rows.m, 1)]
+        k = np.count_nonzero(raw < 0.0) // 2
+        assert k > 0 and _backend._sample_bracket(rows, k, k) == (0.0, 0.0)
+        select, calls = _backend._select_in_bracket, []
+
+        def spy(*args):
+            calls.append(args[1:])
+            return select(*args)
+
+        monkeypatch.setattr(_backend, "_select_in_bracket", spy)
+        assert _backend.sq_distance_order_stats(rows, k, k) == (0.0, 0.0)
+        assert calls == [(k, k, 0.0, 0.0)]
+
+    def test_gaussian_tiles_match_the_clamped_formula(self):
+        sigma = 1.0
+        rows = _backend.distance_rows(near_duplicates(600))
+        g = replace(rows, sigma=sigma)
+        out, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
+        raw = raw_distances(rows)
+        want = np.maximum(raw, 0.0)
+        want *= -0.5 / (sigma * sigma)
+        np.exp(want, out=want)
+        assert np.any(want != np.exp(-0.5 * raw))  # the clamp decides some values
+        for i0, i1, j0, j1 in _backend._tiles(rows.m):
+            tile = _backend._kernel_tile(g, i0, i1, j0, j1, out, work)
+            expect = want[i0:i1, j0:j1]
+            if i0 == j0:
+                upper = _backend._triangles(i1 - i0)[0]
+                tile, expect = tile[upper], expect[upper]
+            assert np.array_equal(tile, expect)
+
+    def test_median_and_tests_match_the_parent_formula(self, rng, monkeypatch):
+        x = near_duplicates(300)
+        spread = np.vstack([x, 5e5 + 1e5 * rng.standard_normal((100, 1))])
+        y, z = rng.standard_normal((402, 2)), rng.standard_normal((402, 2))
+        j = align(Sample(spread), Sample(y), Sample(z))
+        near = align(Sample(x), Sample(y[:302]), Sample(z[:302]))
+        user = KernelConfig(x=KernelSpec(bandwidth=1.0))
+
+        def results():
+            out = [median_heuristic(j.x)]
+            for sample, cfg in ((j, KernelConfig()), (j, user), (near, user)):
+                res = dependent_test(sample, cfg)
+                out += [float(v).hex() for v in (res.statistic, res.std_dev, res.p_value)]
+            return out
+
+        now = results()
+        monkeypatch.setattr(_backend, "_kernel_tile", parent_tile)
+        assert results() == now

@@ -6,6 +6,7 @@ stays deterministic and fast.
 
 import numpy as np
 import pytest
+from conftest import unfolded_tile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -116,3 +117,25 @@ def test_order_stats_on_heavy_ties_match_partition(data, x):
     lo, hi = sorted(data.draw(st.sampled_from(edges)) for _ in range(2))
     holds = np.count_nonzero(pool < lo) <= k1 and k2 < np.count_nonzero(pool <= hi)
     assert _backend._select_in_bracket(rows, k1, k2, lo, hi) == (want if holds else None)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    m=st.integers(2, 300),
+    scales=st.lists(st.integers(-540, -470) | st.integers(-40, 40), min_size=1, max_size=4),
+)
+def test_distance_tiles_at_tiny_scales_equal_the_unfolded_formula(seed, m, scales):
+    # Columns scaled by 2^scale, tiny and normal ones mixed.  Below about
+    # 2^-510 the products of two entries leave the normal range, where
+    # (2a).b and 2(a.b) can round apart.
+    x = np.random.default_rng(seed).standard_normal((m, len(scales))) * np.ldexp(1.0, scales)
+    rows = _backend.distance_rows(x)
+    out, work = np.empty(_backend.TILE**2), np.empty(_backend.TILE**2)
+    for i0, i1, j0, j1 in _backend._tiles(m):
+        want = unfolded_tile(rows, i0, i1, j0, j1)[: i1 - i0, : j1 - j0]
+        tile = _backend._kernel_tile(rows, i0, i1, j0, j1, out, work)
+        if i0 == j0:
+            upper = _backend._triangles(i1 - i0)[0]
+            tile, want = tile[upper], want[upper]
+        assert tile.tobytes() == want.tobytes()

@@ -10,10 +10,11 @@ summarised per tree as median and quartiles, with the number of pairs the
 change won (ties count for neither).  So is the raw, unbounded
 ``trials_per_s`` of each run's ``.bench_out`` record, under
 ``trials_per_s``: it follows the host's speed, but it is the Monte-Carlo
-throughput itself.  ``--trace 1`` runs on the trace
-seeds give per-layer medians of the backend kernels.  The environment
-stamp is the change's first run's.  A run that fails its reference check
-or exits nonzero stops the script.
+throughput itself.  ``--trace 1`` runs on the trace seeds give per-layer
+medians of the backend kernels; they alternate the trees per seed too, so
+host drift does not read as a layer change.  The environment stamp is the
+change's first run's.  A run that fails its reference check or exits
+nonzero stops the script.
 """
 
 import argparse
@@ -49,6 +50,11 @@ def run(tree, workload, seed, trace):
     return metrics, record["raw"].get("trials_per_s", {}).get("value"), record["env"]
 
 
+def paired_order(i):
+    """The trees in the order the i-th seed runs them: alternated per seed."""
+    return ("base", "change") if i % 2 == 0 else ("change", "base")
+
+
 def quartiles(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
@@ -69,7 +75,7 @@ def main(argv=None):
     for workload in args.workloads:
         runs, trials = {"base": [], "change": []}, {"base": [], "change": []}
         for i, seed in enumerate(args.seeds):
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            for side in paired_order(i):
                 metrics, trials_per_s, env = run(trees[side], workload, seed, 0)
                 runs[side].append(metrics)
                 trials[side].append(trials_per_s)
@@ -88,12 +94,14 @@ def main(argv=None):
             }
         out["end_to_end"][workload] = summary
         out["trials_per_s"][workload] = {side: quartiles(t) for side, t in trials.items()}
-        layers = {}
-        for side in ("base", "change"):
-            traced = [run(trees[side], workload, seed, 1)[0] for seed in args.trace_seeds]
-            if traced:
-                layers[side] = {k: statistics.median(t[k] for t in traced) for k in LAYERS}
-        out["layers"][workload] = layers
+        traced = {"base": [], "change": []}
+        for i, seed in enumerate(args.trace_seeds):
+            for side in paired_order(i):
+                traced[side].append(run(trees[side], workload, seed, 1)[0])
+        out["layers"][workload] = {
+            side: {k: statistics.median(t[k] for t in records) for k in LAYERS}
+            for side, records in traced.items() if records
+        }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
 

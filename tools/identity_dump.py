@@ -10,7 +10,10 @@ result: the float.hex of the dependent test, the split test (plain and
 shuffled), the joint summary over 2, 3 and 5 pairs and the generalized
 test on each summary, over 120 seeds at m in {20, 23, 120, 400} and 5
 seeds at m = 1000, whose tiles no longer all fit the keep budget, with the
-default kernels and with linear-x/bandwidth-y.  Then it prints the stdout
+default kernels and with linear-x/bandwidth-y.  Two cases with a user
+bandwidth on x follow: near-duplicate rows far from the origin, whose raw
+squared distances go below zero, and rows scaled by 2^-520, whose
+products fall below the normal range.  Then it prints the stdout
 and output files of ``reldep test`` (the README's four forms and
 ``--format csv``, and kernel flags on the ``--pairs`` route with four and
 with two files), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
@@ -31,6 +34,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SEEDS = range(120)
 SIZES = (20, 23, 120, 400)
@@ -53,6 +58,16 @@ def _result(kind, key, res):
             f" p={_hex([res.p_value])} reject={res.reject_null}")
 
 
+def dump_tests(reldep, key, j, cfg, out):
+    """The dependent test and the split test, plain and shuffled, of j under cfg."""
+    dep = reldep.dependent_test(j, cfg)
+    print(_result("dependent", key, dep), f"kernel={dep.kernel_info}", file=out)
+    for shuffle in (None, 3):
+        ind = reldep.independent_test(j, cfg, shuffle_seed=shuffle)
+        print(_result("independent", f"{key}|shuffle={shuffle}", ind),
+              f"kernel={ind.kernel_info}", file=out)
+
+
 def dump_results(reldep, out):
     from reldep.kernels import KernelConfig, KernelSpec
     from reldep.synthbench import SynthConfig, sample_synthetic
@@ -71,12 +86,7 @@ def dump_results(reldep, out):
     for name, j in samples:
         for cname, cfg in configs.items():
             key = f"{name}|{cname}"
-            dep = reldep.dependent_test(j, cfg)
-            print(_result("dependent", key, dep), f"kernel={dep.kernel_info}", file=out)
-            for shuffle in (None, 3):
-                ind = reldep.independent_test(j, cfg, shuffle_seed=shuffle)
-                print(_result("independent", f"{key}|shuffle={shuffle}", ind),
-                      f"kernel={ind.kernel_info}", file=out)
+            dump_tests(reldep, key, j, cfg, out)
             for pairs in PAIR_SETS:
                 pkey = f"{key}|{len(pairs)}"
                 summary = reldep.joint_summary(j, pairs, cfg)
@@ -84,6 +94,25 @@ def dump_results(reldep, out):
                       f" cov={_hex(summary.covariance.ravel())}", file=out)
                 gen = reldep.generalized_test(summary, WEIGHTS[len(pairs)])
                 print(_result("generalized", pkey, gen), file=out)
+    dump_edge_cases(reldep, out)
+
+
+def dump_edge_cases(reldep, out):
+    from reldep.kernels import KernelConfig, KernelSpec
+    from reldep.synthbench import SynthConfig, sample_synthetic
+
+    j = sample_synthetic(SynthConfig(m=302, gamma3=0.9, seed=7))
+    # The rows at -1e6 and 1e6 pin the midrange at 0, so the cluster stays
+    # far from the origin after centring.
+    near = np.concatenate([[-1e6, 1e6], 5e5 + np.arange(300) * np.spacing(5e5)])[:, None]
+    cases = {
+        "near-dup": (near, 1.0),
+        "tiny-2^-520": (j.x.data * 2.0**-520, 2.0**-510),
+    }
+    for name, (x, bandwidth) in cases.items():
+        case = reldep.align(reldep.Sample(x, name), j.y, j.z)
+        cfg = KernelConfig(x=KernelSpec(bandwidth=bandwidth))
+        dump_tests(reldep, f"{name}|bw-x", case, cfg, out)
 
 
 INPUTS = ("x.csv", "y.csv", "z.csv", "t3.csv")
