@@ -20,7 +20,9 @@ pass to its sweeps, and other tiles of the first sweep are kept for the
 second in what the blocks leave of ``KEEP_BYTES``.  A kept tile has the
 bits of one formed anew.  The dense fill ``fill_square`` writes the same
 tiles into one m x m matrix from ``square_buffer``, which refuses sizes
-that cannot fit in physical memory; it serves the dense API and oracles.
+that cannot fit in physical memory.  No estimator reads it: it and
+``pairwise_sq_dists`` stay only as the tile tests' bit-exact references
+while the benchmark's tracer still names them.
 """
 
 import os
@@ -274,7 +276,7 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
 
     The distance tiles of ``distance_rows`` in one ``square_buffer``:
     exactly symmetric, zero on the diagonal, and permuted exactly when
-    the rows are.
+    the rows are.  The tile tests' reference; no estimator reads it.
     """
     out = square_buffer(np.shape(x)[0])
     return fill_square(distance_rows(x), out)
@@ -360,9 +362,12 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
     ``attempt``, and reads the sample's order statistics at the scaled
     ranks, widened by about five standard deviations of a sample rank; a
     bracket edge beyond the sample is infinite.  With a kept block the
-    sample reads the pool values there; without, the sampled distances are
-    taken directly, in chunks.  The bracket only bounds the pass, so their
-    last bits do not matter.
+    sample reads the pool values there; without, it forms them in chunks
+    by the pool's expansion ||a||^2 + ||b||^2 - 2<a, b>, not by exact
+    differences, which near-duplicate rows far from the origin would put
+    outside the pool's rounding noise.  The sample is clamped at zero, as
+    the pool is where it is read.  The bracket only bounds the pass, so
+    its last bits do not matter.
     """
     m = v.m
     n = m * (m - 1) // 2
@@ -371,10 +376,13 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
         sample = v.kept[0][_block_index(m, size, attempt)]
     else:
         rows_i, rows_j = _sample_pairs(m, size, attempt)
-        sample = np.empty(size)
+        sample, twice = np.empty(size), 2.0 * v.x if v.twice is None else v.twice
         for c in range(0, size, _SAMPLE_CHUNK):
-            diff = v.x[rows_i[c : c + _SAMPLE_CHUNK]] - v.x[rows_j[c : c + _SAMPLE_CHUNK]]
-            np.einsum("ij,ij->i", diff, diff, out=sample[c : c + _SAMPLE_CHUNK])
+            i, j = rows_i[c : c + _SAMPLE_CHUNK], rows_j[c : c + _SAMPLE_CHUNK]
+            part = sample[c : c + _SAMPLE_CHUNK]
+            np.einsum("ij,ij->i", twice[i], v.x[j], out=part)
+            np.subtract(v.norms[i, 0] + v.norms[j, 0], part, out=part)
+    np.maximum(sample, 0.0, out=sample)
     gap = int(2.5 * size**0.5) + 1
     lo_rank = k1 * size // n - gap
     hi_rank = (k2 + 1) * size // n + gap

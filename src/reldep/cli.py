@@ -23,15 +23,8 @@ import numpy as np
 
 from reldep import synthbench
 from reldep.dataset import PreconditionError, align, load_csv
-from reldep.hsic import hsic_estimates, variance_hsic
-from reldep.kernels import (
-    GAUSSIAN,
-    LINEAR,
-    KernelConfig,
-    KernelSpec,
-    kernel_info,
-    kernel_rows,
-)
+from reldep.hsic import hsic_estimate, variance_hsic
+from reldep.kernels import GAUSSIAN, LINEAR, KernelConfig, KernelSpec
 from reldep.reltest import (
     check_weights,
     dependent_test,
@@ -190,15 +183,9 @@ def cmd_test(args) -> int:
 
 
 def cmd_hsic(args) -> int:
-    j = align(*_load_inputs(args))
-    rx, ry = kernel_rows(j.x, _spec(args, "x")), kernel_rows(j.y, _spec(args, "y"))
-    (est,) = hsic_estimates([rx, ry], [(0, 1)], ["XY"])
-    payload = {
-        "hsic": est.value,
-        "variance": variance_hsic(est),
-        "m": est.m,
-        "kernel": {"x": kernel_info(rx), "y": kernel_info(ry)},
-    }
+    est = hsic_estimate(*_load_inputs(args), _spec(args, "x"), _spec(args, "y"))
+    payload = {"hsic": est.value, "variance": variance_hsic(est), "m": est.m,
+               "kernel": est.kernel_info}
     _emit(payload, args)
     return EXIT_OK
 

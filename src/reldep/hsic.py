@@ -1,6 +1,7 @@
 """Unbiased HSIC estimation, h-vectors, variances and the covariance matrix.
 
-All estimators work on zero-diagonal Gram matrices.  The unbiased value is
+The estimators work on zero-diagonal Gram matrices, streamed in tiles.
+The unbiased value is
 
     (Tr(KL) + (1'K1)(1'L1)/((m-1)(m-2)) - 2 (1'KL1)/(m-2)) / (m (m-3)),
 
@@ -15,19 +16,17 @@ estimate carries, next to the value and from the same O(m) reductions
 (row sums, row sums of K o L, K l_row and L k_row), the h-vector, whose
 entry i is exactly ``H_SUM_RATIO`` times the sum of h(i,j,q,r) over all
 ordered 3-tuples (j,q,r) of distinct indices avoiding i.  One formula
-turns the reductions into both: ``hsic_estimates`` takes them from the
-backend's streamed tiles, which the tests use, and ``hsic_estimate``
-from two dense Gram matrices.  ``covariance_summary`` turns the h-vectors of n
-estimates on shared sample rows into one clamped n x n covariance matrix.
-``hsic_bruteforce`` and ``h_vector_bruteforce`` enumerate the tuples
-directly and exist purely to cross-check the fast path; they share no
-code with it.
+turns the reductions into both, and ``hsic_estimates`` takes them from
+the backend's streamed tiles.  ``hsic_estimate`` is the entry point for
+two samples.  ``covariance_summary`` turns the h-vectors of n estimates
+on shared sample rows into one clamped n x n covariance matrix.  The
+brute-force enumerations that cross-check all this live with the tests,
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, permutations
+from dataclasses import dataclass, field, replace
 from math import copysign, fsum, sqrt
 from typing import Sequence
 
@@ -35,8 +34,8 @@ import numpy as np
 
 from reldep import _backend
 from reldep._backend import TileRows
-from reldep.dataset import PreconditionError, _readonly
-from reldep.kernels import GramMatrix
+from reldep.dataset import PreconditionError, Sample, _readonly, row_count
+from reldep.kernels import KernelSpec, kernel_info, kernel_rows
 
 __all__ = [
     "H_SUM_RATIO",
@@ -44,17 +43,15 @@ __all__ = [
     "HsicEstimate",
     "hsic_estimate",
     "hsic_estimates",
-    "hsic_bruteforce",
-    "h_vector_bruteforce",
     "variance_hsic",
     "cross_covariance",
     "covariance_summary",
 ]
 
 # Ratio between the fused O(m^2) h-vector and the raw per-index sums of the
-# order-4 kernel over ordered 3-tuples.  Established once against
-# h_vector_bruteforce at m in {8, 10, 12} (tests/test_hsic.py keeps the
-# regression check); it is constant in m.
+# order-4 kernel over ordered 3-tuples.  Established once against the
+# brute-force h-vector of tests/oracles.py at m in {8, 10, 12}
+# (tests/test_hsic.py keeps the regression check); it is constant in m.
 H_SUM_RATIO = 2.0
 
 # Variance estimates are unbiased and can dip below zero at small m; they
@@ -68,11 +65,16 @@ _DOT_CHUNK = 10_000
 
 @dataclass(frozen=True)
 class HsicEstimate:
-    """Unbiased HSIC value plus the per-observation aggregate vector."""
+    """Unbiased HSIC value plus the per-observation aggregate vector.
+
+    ``kernel_info`` holds the resolved kernel of each variable, keyed x
+    and y, when ``hsic_estimate`` made it.
+    """
 
     value: float
     h_vector: np.ndarray
     m: int
+    kernel_info: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         h = _readonly(self.h_vector)
@@ -112,12 +114,6 @@ def _check_m(m: int) -> int:
     return m
 
 
-def _check_pair(kt: GramMatrix, lt: GramMatrix) -> int:
-    if kt.m != lt.m:
-        raise ValueError(f"Gram sizes differ: {kt.m} vs {lt.m}")
-    return _check_m(kt.m)
-
-
 def _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, pair_label) -> HsicEstimate:
     """The unbiased value and h-vector from the O(m) reductions of one pair.
 
@@ -149,20 +145,6 @@ def _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, pair_label) -> Hsi
     return HsicEstimate(value=value, h_vector=h, m=m)
 
 
-def hsic_estimate(kt: GramMatrix, lt: GramMatrix, pair_label: str = "") -> HsicEstimate:
-    """Unbiased HSIC value together with its h-vector, from two dense Grams.
-
-    Unbiasedness means the value can be negative even though the population
-    quantity is nonnegative.  Overflow raises PreconditionError.
-    """
-    m = _check_pair(kt, lt)
-    k, l = kt.values, lt.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_row, l_row = k.sum(axis=1), l.sum(axis=1)
-        reductions = np.einsum("ij,ij->i", k, l), k @ l_row, l @ k_row
-    return _from_reductions(m, k_row, l_row, *reductions, pair_label)
-
-
 def hsic_estimates(
     variables: Sequence[TileRows],
     pairs: Sequence[tuple[int, int]],
@@ -182,61 +164,21 @@ def hsic_estimates(
     ]
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracles.  Plain-Python tuple enumeration, deliberately
-# independent of the backend reductions above.
-# ---------------------------------------------------------------------------
+def hsic_estimate(
+    x: Sample, y: Sample, kernel_x: KernelSpec = KernelSpec(), kernel_y: KernelSpec = KernelSpec()
+) -> HsicEstimate:
+    """Unbiased HSIC of two row-aligned samples, with its h-vector and resolved kernels.
 
-_ORDERINGS = list(permutations(range(4)))
-
-
-def _kernel_h(k: np.ndarray, l: np.ndarray, quad) -> float:
-    """Symmetrized order-4 kernel over one set of four distinct indices."""
-    total = 0.0
-    for p in _ORDERINGS:
-        s, t, u, v = quad[p[0]], quad[p[1]], quad[p[2]], quad[p[3]]
-        total += k[s, t] * (l[s, t] + l[u, v] - 2.0 * l[s, u])
-    return total / 24.0
-
-
-def hsic_bruteforce(kt: GramMatrix, lt: GramMatrix) -> float:
-    """Unbiased HSIC by direct enumeration of index 4-tuples.
-
-    h is invariant under reordering its four indices (it is the symmetrized
-    kernel), so averaging over the m-choose-4 subsets equals averaging over
-    all ordered 4-tuples.  Guarded to m <= 40; cost grows as m^4.
+    Each kernel is resolved from its own sample (``kernel_rows``) and the
+    estimate streams their tiles (``hsic_estimates``), so no m x m matrix
+    is held.  The value can be negative even though the population
+    quantity is not.  Samples whose row counts differ raise DatasetError;
+    fewer than 4 rows, or overflow, raise PreconditionError.
     """
-    m = _check_pair(kt, lt)
-    if m > 40:
-        raise PreconditionError(f"brute force limited to m <= 40, got {m}")
-    k, l = kt.values, lt.values
-    total = 0.0
-    count = 0
-    for quad in combinations(range(m), 4):
-        total += _kernel_h(k, l, quad)
-        count += 1
-    return total / count
-
-
-def h_vector_bruteforce(kt: GramMatrix, lt: GramMatrix) -> np.ndarray:
-    """Raw per-index sums of h over ordered 3-tuples avoiding each index.
-
-    Entry i sums h(i,j,q,r) over all ordered triples of distinct indices
-    drawn from the other m-1 observations; by the reordering invariance of
-    h each unordered triple contributes six times.  Guarded to m <= 30.
-    """
-    m = _check_pair(kt, lt)
-    if m > 30:
-        raise PreconditionError(f"brute force limited to m <= 30, got {m}")
-    k, l = kt.values, lt.values
-    out = np.zeros(m)
-    for i in range(m):
-        others = [j for j in range(m) if j != i]
-        acc = 0.0
-        for trip in combinations(others, 3):
-            acc += _kernel_h(k, l, (i,) + trip)
-        out[i] = 6.0 * acc
-    return out
+    row_count([x, y])
+    rx, ry = kernel_rows(x, kernel_x), kernel_rows(y, kernel_y)
+    (est,) = hsic_estimates([rx, ry], [(0, 1)], ["XY"])
+    return replace(est, kernel_info={"x": kernel_info(rx), "y": kernel_info(ry)})
 
 
 # ---------------------------------------------------------------------------

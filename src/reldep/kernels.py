@@ -10,8 +10,9 @@ in one pass over the distance tiles, so the tests hold O(m) memory, and
 ``kernel_info`` reads the resolved kernel back off those rows.  Every
 value comes from padded tiles, so permuting the rows permutes each kernel
 exactly.  ``build_zero_diag_gram`` writes the same tiles into one dense,
-exactly symmetric, read-only matrix: the dense public API and the
-oracles' input, guarded against sizes that cannot fit in memory.
+exactly symmetric, read-only matrix.  No estimator reads it; it stays
+only as the tile tests' bit-exact reference while the benchmark's tracer
+still names it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from reldep.dataset import PreconditionError, Sample, _readonly
 __all__ = [
     "KernelSpec",
     "KernelConfig",
-    "GramMatrix",
-    "pairwise_sq_distances",
     "median_heuristic",
     "build_zero_diag_gram",
     "kernel_rows",
@@ -61,34 +60,6 @@ class KernelConfig(NamedTuple):
     x: KernelSpec = KernelSpec()
     y: KernelSpec = KernelSpec()
     z: KernelSpec = KernelSpec()
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric matrix of kernel evaluations over one sample, diagonal masked.
-
-    The unbiased estimators assume K_ii = 0, so any other matrix is
-    rejected here rather than silently biasing an estimate.
-    """
-
-    values: np.ndarray
-    family: str
-    bandwidth: float | None
-
-    def __post_init__(self):
-        v = _readonly(self.values)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or np.any(np.diagonal(v) != 0.0):
-            raise ValueError("Gram matrix values must be square and zero-diagonal")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-
-def pairwise_sq_distances(s: Sample) -> np.ndarray:
-    """Matrix of squared Euclidean distances between observations."""
-    return _backend.pairwise_sq_dists(s.data)
 
 
 def _median_rows(s: Sample) -> tuple[_backend.TileRows, float]:
@@ -151,16 +122,12 @@ def kernel_info(rows: _backend.TileRows) -> dict:
     return {"family": LINEAR if rows.norms is None else GAUSSIAN, "bandwidth": rows.sigma}
 
 
-def build_zero_diag_gram(s: Sample, spec: KernelSpec) -> GramMatrix:
-    """Zero-diagonal Gram matrix for one variable, the dense estimators' input.
+def build_zero_diag_gram(s: Sample, spec: KernelSpec) -> np.ndarray:
+    """Read-only zero-diagonal m x m Gram matrix of one variable.
 
-    The tests stream their kernels and never build one; this is the dense
-    public API and the oracles' input.  It holds exactly the values of the
-    streamed tiles of ``kernel_rows``.  If the matrix cannot fit in
-    physical memory, PreconditionError is raised before it is allocated
-    and before the bandwidth is resolved.
+    It holds exactly the values of the streamed tiles of ``kernel_rows``.
+    If the matrix cannot fit in physical memory, PreconditionError is
+    raised before it is allocated and before the bandwidth is resolved.
     """
     out = _backend.square_buffer(s.m)
-    rows = kernel_rows(s, spec)
-    values = _backend.fill_square(rows, out)
-    return GramMatrix(values=values, family=spec.family, bandwidth=rows.sigma)
+    return _readonly(_backend.fill_square(kernel_rows(s, spec), out))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from reldep.dataset import Sample
-from reldep.kernels import KernelSpec, build_zero_diag_gram
+from reldep.kernels import KernelSpec
+
+from oracles import gaussian_gram
+
+# The kernels of ``random_pair``'s x and y.
+BANDWIDTHS = (1.3, 0.8)
+PAIR_SPECS = tuple(KernelSpec(bandwidth=b) for b in BANDWIDTHS)
+LINEAR = KernelSpec(family="linear")
 
 
 @pytest.fixture
@@ -10,22 +17,19 @@ def rng():
     return np.random.default_rng(20240917)
 
 
-def random_zero_diag_pair(rng, m, d=3, bw=(1.3, 0.8)):
-    """Seeded pair of zero-diagonal Gaussian Gram matrices."""
-    x = Sample(rng.standard_normal((m, d)), "x")
-    y = Sample(rng.standard_normal((m, d)), "y")
-    kt = build_zero_diag_gram(x, KernelSpec(bandwidth=bw[0]))
-    lt = build_zero_diag_gram(y, KernelSpec(bandwidth=bw[1]))
-    return kt, lt
+def random_pair(rng, m, d=3):
+    """Seeded samples x and y of m rows, for the kernels ``PAIR_SPECS``."""
+    return Sample(rng.standard_normal((m, d)), "x"), Sample(rng.standard_normal((m, d)), "y")
 
 
-def constant_offdiag_gram(m, c=0.4):
-    """Zero-diagonal Gram with every off-diagonal entry equal to c."""
-    values = np.full((m, m), c)
-    np.fill_diagonal(values, 0.0)
-    from reldep.kernels import GramMatrix
+def oracle_grams(*samples):
+    """The oracles' dense Grams of ``random_pair`` samples, under ``BANDWIDTHS``."""
+    return tuple(gaussian_gram(s.data, b) for s, b in zip(samples, BANDWIDTHS))
 
-    return GramMatrix(values=values, family="linear", bandwidth=None)
+
+def constant_sample(m):
+    """m equal rows of ones, whose ``LINEAR`` Gram is 1 off the diagonal."""
+    return Sample(np.ones((m, 1)), "const")
 
 
 def unfolded_tile(v, i0, i1, j0, j1):

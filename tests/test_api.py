@@ -4,6 +4,8 @@ import ast
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -64,3 +66,14 @@ def test_tracer_targets_resolve():
     spec.loader.exec_module(tracer)
     for _, module, attr, _ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's own checks: its reference against brute force, its
+    # checker against the library, and the tracer against the targets it
+    # names, so a change that drops a traced name fails here too.
+    run = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert "benchmark self-tests passed" in run.stdout

@@ -126,7 +126,7 @@ class TestBlockedDistances:
         assert np.array_equal(a[np.ix_(perm, perm)], b)
         assert median_heuristic(Sample(x)) == median_heuristic(Sample(x[perm]))
         linear = KernelSpec(family="linear")
-        a, b = (build_zero_diag_gram(Sample(v), linear).values for v in (x, x[perm]))
+        a, b = (build_zero_diag_gram(Sample(v), linear) for v in (x, x[perm]))
         assert np.array_equal(a[np.ix_(perm, perm)], b)
 
     def test_row_permutation_keeps_bandwidths_bitwise(self, rng):
@@ -361,9 +361,8 @@ class TestMemoryGuard:
             median_heuristic(big)
 
 
-def dense_reductions(kt, lt):
+def dense_reductions(k, l):
     """The streamed reductions written out from two dense Grams."""
-    k, l = kt.values, lt.values
     return np.einsum("ij,ij->i", k, l), k @ l.sum(axis=1), l @ k.sum(axis=1)
 
 
@@ -384,7 +383,7 @@ class TestStreamedReductions:
         grams = [build_zero_diag_gram(s, spec) for s, spec in zip(samples, specs)]
         row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs)
         for got, g in zip(row_sums, grams):
-            assert np.allclose(got, g.values.sum(axis=1), rtol=1e-13, atol=0)
+            assert np.allclose(got, g.sum(axis=1), rtol=1e-13, atol=0)
         for (a, b), got in zip(pairs, per_pair):
             for streamed, dense in zip(got, dense_reductions(grams[a], grams[b])):
                 scale = np.abs(dense).max()
@@ -578,9 +577,9 @@ class TestNearDuplicatesFarFromOrigin:
             assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
 
     def test_ranks_below_a_zero_bracket_edge_are_zero_without_a_miss(self, monkeypatch):
-        # Ten values, each on 70 rows: the bracket sample takes exact
-        # distances, so it sees the many exact zeros and brackets a low rank
-        # with [0, 0], while the pool holds raw distances below 0 there.
+        # Ten values, each on 70 rows: the bracket sample, clamped at zero,
+        # sees many zeros and brackets a low rank with [0, 0], while the
+        # pool holds raw distances below 0 there.
         x = np.vstack([near_duplicates(0), np.repeat(near_duplicates(10)[2:], 70, axis=0)])
         rows = _backend.distance_rows(x)
         raw = raw_distances(rows)[np.triu_indices(rows.m, 1)]
@@ -595,6 +594,26 @@ class TestNearDuplicatesFarFromOrigin:
         monkeypatch.setattr(_backend, "_select_in_bracket", spy)
         assert _backend.sq_distance_order_stats(rows, k, k) == (0.0, 0.0)
         assert calls == [(k, k, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("n", [700, 2000])
+    def test_median_takes_one_finite_bracket(self, monkeypatch, n):
+        # Past the kept-block size the bracket sample forms its own
+        # distances, and they must follow the pool's expansion: exact
+        # differences (about 1e-16 here) lie outside its rounding noise, so
+        # both brackets would miss and the pass would collect the whole pool.
+        rows = _backend.distance_rows(near_duplicates(n))
+        n_pairs = rows.m * (rows.m - 1) // 2
+        k1, k2 = (n_pairs - 1) // 2, n_pairs // 2
+        select, calls = _backend._select_in_bracket, []
+
+        def spy(*args):
+            calls.append(args[3:])
+            return select(*args)
+
+        monkeypatch.setattr(_backend, "_select_in_bracket", spy)
+        pool = np.sort(np.maximum(raw_distances(rows)[np.triu_indices(rows.m, 1)], 0.0))
+        assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
+        assert len(calls) == 1 and np.isfinite(calls[0]).all()
 
     def test_gaussian_tiles_match_the_clamped_formula(self):
         sigma = 1.0

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import reldep
-from reldep.dataset import PreconditionError, Sample
+from reldep import _backend
+from reldep.dataset import DatasetError, PreconditionError, Sample
 from reldep.hsic import (
     H_SUM_RATIO,
     VARIANCE_FLOOR,
@@ -18,87 +19,114 @@ from reldep.hsic import (
     _from_reductions,
     covariance_summary,
     cross_covariance,
-    h_vector_bruteforce,
-    hsic_bruteforce,
     hsic_estimate,
+    hsic_estimates,
     variance_hsic,
 )
-from reldep.kernels import GramMatrix, KernelSpec, build_zero_diag_gram, pairwise_sq_distances
+from reldep.kernels import KernelSpec, kernel_info, kernel_rows, median_heuristic
 
-from conftest import constant_offdiag_gram, random_zero_diag_pair
+from conftest import LINEAR, PAIR_SPECS, constant_sample, oracle_grams, random_pair
+from oracles import constant_gram, h_vector_bruteforce, hsic_bruteforce, kernel_h
 
 
-def permuted(g: GramMatrix, perm) -> GramMatrix:
-    values = g.values[np.ix_(perm, perm)]
-    return GramMatrix(values=values, family=g.family, bandwidth=g.bandwidth)
+def estimate(x, y):
+    """The public estimate of x and y under ``PAIR_SPECS``."""
+    return hsic_estimate(x, y, *PAIR_SPECS)
+
+
+def against_constant(x):
+    """The estimate of x against a target whose Gram is constant off the diagonal."""
+    return hsic_estimate(x, constant_sample(x.m), PAIR_SPECS[0], LINEAR)
 
 
 class TestUnbiasedEstimator:
     def test_agrees_with_bruteforce(self, rng):
         for m in (4, 6, 8, 10):
             for _ in range(5):
-                kt, lt = random_zero_diag_pair(rng, m)
-                fast = hsic_estimate(kt, lt).value
-                slow = hsic_bruteforce(kt, lt)
+                x, y = random_pair(rng, m)
+                fast = estimate(x, y).value
+                slow = hsic_bruteforce(*oracle_grams(x, y))
                 assert abs(fast - slow) < 1e-9 * max(1.0, abs(slow))
 
     def test_constant_target_is_zero(self, rng):
-        kt, _ = random_zero_diag_pair(rng, 9)
-        lt = constant_offdiag_gram(9, c=0.4)
-        assert abs(hsic_estimate(kt, lt).value) < 1e-12
-        assert hsic_bruteforce(kt, lt) == 0.0
+        x, _ = random_pair(rng, 9)
+        assert abs(against_constant(x).value) < 1e-12
+        assert hsic_bruteforce(oracle_grams(x)[0], constant_gram(9)) == 0.0
 
     def test_argument_symmetry_exact(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 12)
-        assert hsic_estimate(kt, lt).value == hsic_estimate(lt, kt).value
+        x, y = random_pair(rng, 12)
+        assert estimate(x, y).value == hsic_estimate(y, x, *PAIR_SPECS[::-1]).value
 
     def test_m4_boundary(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 4)
-        assert np.isfinite(hsic_bruteforce(kt, lt))
-        assert np.isfinite(hsic_estimate(kt, lt).value)
+        x, y = random_pair(rng, 4)
+        assert np.isfinite(hsic_bruteforce(*oracle_grams(x, y)))
+        assert np.isfinite(estimate(x, y).value)
 
     def test_m3_rejected(self, rng):
-        x = Sample(rng.standard_normal((3, 2)), "x")
-        g = build_zero_diag_gram(x, KernelSpec(bandwidth=1.0))
+        x, y = random_pair(rng, 3)
         with pytest.raises(PreconditionError, match="m >= 4"):
-            hsic_estimate(g, g)
+            hsic_estimate(x, y)
 
     def test_size_mismatch(self, rng):
-        kt, _ = random_zero_diag_pair(rng, 6)
-        lt, _ = random_zero_diag_pair(rng, 8)
-        with pytest.raises(ValueError, match="sizes differ"):
-            hsic_estimate(kt, lt)
-
-    def test_requires_zero_diagonal(self, rng):
-        # The estimator's input type refuses a Gram with its diagonal intact.
-        x = Sample(rng.standard_normal((6, 2)), "x")
-        full = np.exp(-0.5 * pairwise_sq_distances(x))
-        with pytest.raises(ValueError, match="zero-diagonal"):
-            GramMatrix(values=full, family="gaussian", bandwidth=1.0)
+        x, _ = random_pair(rng, 6)
+        _, y = random_pair(rng, 8)
+        with pytest.raises(DatasetError, match="sample sizes 6,8 differ"):
+            hsic_estimate(x, y)
 
     def test_permutation_invariance(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 10)
-        base = hsic_estimate(kt, lt).value
+        x, y = random_pair(rng, 10)
+        base = estimate(x, y).value
         for _ in range(5):
             perm = rng.permutation(10)
-            shuffled = hsic_estimate(permuted(kt, perm), permuted(lt, perm)).value
+            shuffled = estimate(x.rows(perm), y.rows(perm)).value
             assert shuffled == pytest.approx(base, abs=1e-12, rel=1e-12)
 
     def test_bruteforce_guard(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 41)
-        with pytest.raises(PreconditionError, match="m <= 40"):
-            hsic_bruteforce(kt, lt)
+        with pytest.raises(ValueError, match="m <= 40"):
+            hsic_bruteforce(*oracle_grams(*random_pair(rng, 41)))
 
     def test_unbiased_mean_near_zero_under_independence(self, rng):
         # Light version of the Monte-Carlo unbiasedness check in the
         # acceptance suite (2000 trials there).
-        vals = []
-        for _ in range(300):
-            kt, lt = random_zero_diag_pair(rng, 12)
-            vals.append(hsic_estimate(kt, lt).value)
-        vals = np.array(vals)
+        vals = np.array([estimate(*random_pair(rng, 12)).value for _ in range(300)])
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean()) < 4 * se
+
+
+class TestPublicEntryPoint:
+    """``hsic_estimate`` is ``row_count``, ``kernel_rows`` and ``hsic_estimates``."""
+
+    SPECS = [(KernelSpec(), KernelSpec()), (KernelSpec(bandwidth=0.7), KernelSpec()),
+             (LINEAR, KernelSpec(bandwidth=1.1)), (LINEAR, LINEAR)]
+
+    @pytest.mark.parametrize("specs", SPECS)
+    def test_equals_the_streamed_estimate_bitwise(self, rng, specs):
+        x, y = random_pair(rng, 300)
+        got = hsic_estimate(x, y, *specs)
+        rows = [kernel_rows(s, spec) for s, spec in zip((x, y), specs)]
+        (want,) = hsic_estimates(rows, [(0, 1)], ["XY"])
+        assert got.value.hex() == want.value.hex() and got.m == want.m == 300
+        assert got.h_vector.tobytes() == want.h_vector.tobytes()
+        assert got.kernel_info == {"x": kernel_info(rows[0]), "y": kernel_info(rows[1])}
+
+    @pytest.mark.parametrize("specs", SPECS)
+    def test_one_median_pass_per_median_variable(self, rng, monkeypatch, specs):
+        select, calls = _backend.sq_distance_order_stats, []
+
+        def spy(*args):
+            calls.append(args[0].m)
+            return select(*args)
+
+        monkeypatch.setattr(_backend, "sq_distance_order_stats", spy)
+        hsic_estimate(*random_pair(rng, 40), *specs)
+        medians = sum(s.family == "gaussian" and s.bandwidth is None for s in specs)
+        assert calls == [40] * medians
+
+    def test_default_kernels_are_the_median_gaussian(self, rng):
+        x, y = random_pair(rng, 30)
+        info = hsic_estimate(x, y).kernel_info
+        assert info == {"x": {"family": "gaussian", "bandwidth": median_heuristic(x)},
+                        "y": {"family": "gaussian", "bandwidth": median_heuristic(y)}}
 
 
 class TestHVector:
@@ -110,81 +138,72 @@ class TestHVector:
 
     def test_ratio_to_bruteforce_is_frozen_constant(self, rng):
         for m in (8, 10, 12):
-            kt, lt = random_zero_diag_pair(rng, m)
-            fast = hsic_estimate(kt, lt).h_vector
-            raw = h_vector_bruteforce(kt, lt)
+            x, y = random_pair(rng, m)
+            fast = estimate(x, y).h_vector
+            raw = h_vector_bruteforce(*oracle_grams(x, y))
             assert np.all(
                 np.abs(fast - H_SUM_RATIO * raw) < 1e-9 * np.maximum(1.0, np.abs(raw))
             )
 
     def test_constant_target_gives_zero_vector(self, rng):
-        kt, _ = random_zero_diag_pair(rng, 8)
-        lt = constant_offdiag_gram(8)
-        assert np.all(np.abs(hsic_estimate(kt, lt).h_vector) < 1e-9)
-        assert np.array_equal(h_vector_bruteforce(kt, lt), np.zeros(8))
+        x, _ = random_pair(rng, 8)
+        assert np.all(np.abs(against_constant(x).h_vector) < 1e-9)
+        assert np.array_equal(h_vector_bruteforce(oracle_grams(x)[0], constant_gram(8)), np.zeros(8))
 
     def test_per_index_sums_recover_estimator(self, rng):
         # The per-index sums over ordered 3-tuples add up to (m)_4 times the
         # U-statistic average.
         m = 8
-        kt, lt = random_zero_diag_pair(rng, m)
-        raw = h_vector_bruteforce(kt, lt)
+        x, y = random_pair(rng, m)
+        raw = h_vector_bruteforce(*oracle_grams(x, y))
         m4 = m * (m - 1) * (m - 2) * (m - 3)
-        assert raw.sum() == pytest.approx(m4 * hsic_estimate(kt, lt).value, rel=1e-10)
+        assert raw.sum() == pytest.approx(m4 * estimate(x, y).value, rel=1e-10)
 
     def test_bruteforce_m4_counts_six_tuples_per_index(self, rng):
         # At m=4 each index has exactly (3)_3 = 6 ordered tuples, all equal
         # by symmetry of h, so the entry equals 6 h(i, rest).
-        kt, lt = random_zero_diag_pair(rng, 4)
-        raw = h_vector_bruteforce(kt, lt)
-        from reldep.hsic import _kernel_h
-
+        k, l = oracle_grams(*random_pair(rng, 4))
+        raw = h_vector_bruteforce(k, l)
         for i in range(4):
             rest = tuple(j for j in range(4) if j != i)
-            assert raw[i] == pytest.approx(6.0 * _kernel_h(kt.values, lt.values, (i,) + rest), rel=1e-12)
+            assert raw[i] == pytest.approx(6.0 * kernel_h(k, l, (i,) + rest), rel=1e-12)
 
     def test_bruteforce_guard(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 31)
-        with pytest.raises(PreconditionError, match="m <= 30"):
-            h_vector_bruteforce(kt, lt)
+        with pytest.raises(ValueError, match="m <= 30"):
+            h_vector_bruteforce(*oracle_grams(*random_pair(rng, 31)))
+
+
+def curve_pair(rng, m, noise=0.0):
+    """x and y on one curve, each with Gaussian noise of scale ``noise``."""
+    t = rng.uniform(0, 2 * np.pi, size=m)
+    x = np.column_stack([t, np.sin(t)])
+    y = np.column_stack([t * np.cos(t), t * np.sin(t)])
+    if noise:
+        x, y = x + noise * rng.standard_normal((m, 2)), y + noise * rng.standard_normal((m, 2))
+    return Sample(x, "x"), Sample(y, "y")
 
 
 class TestVariance:
     def test_constant_target_floors_at_epsilon(self, rng):
-        kt, _ = random_zero_diag_pair(rng, 8)
-        e = hsic_estimate(kt, constant_offdiag_gram(8), "const")
-        assert variance_hsic(e) == VARIANCE_FLOOR
+        x, _ = random_pair(rng, 8)
+        assert variance_hsic(against_constant(x)) == VARIANCE_FLOOR
 
     def test_positive_on_dependent_data(self, rng):
         for _ in range(5):
-            t = rng.uniform(0, 2 * np.pi, size=200)
-            x = Sample(np.column_stack([t, np.sin(t)]), "x")
-            y = Sample(np.column_stack([t * np.cos(t), t * np.sin(t)]), "y")
-            kt = build_zero_diag_gram(x, KernelSpec(bandwidth=1.0))
-            lt = build_zero_diag_gram(y, KernelSpec(bandwidth=2.0))
-            e = hsic_estimate(kt, lt)
+            x, y = curve_pair(rng, 200)
+            e = hsic_estimate(x, y, KernelSpec(bandwidth=1.0), KernelSpec(bandwidth=2.0))
             assert variance_hsic(e) > VARIANCE_FLOOR
 
     def test_variance_halves_when_m_doubles(self, rng):
         # i.i.d. dependent draws; the unscaled statistic variance decays
         # like 1/m, so doubling m should roughly halve the estimate.
+        specs = KernelSpec(bandwidth=1.5), KernelSpec(bandwidth=2.5)
+
         def mean_variance(m, trials=20):
-            out = []
-            for _ in range(trials):
-                t = rng.uniform(0, 2 * np.pi, size=m)
-                x = Sample(
-                    np.column_stack([t, np.sin(t)]) + 0.3 * rng.standard_normal((m, 2)),
-                    "x",
-                )
-                y = Sample(
-                    np.column_stack([t * np.cos(t), t * np.sin(t)])
-                    + 0.3 * rng.standard_normal((m, 2)),
-                    "y",
-                )
-                kt = build_zero_diag_gram(x, KernelSpec(bandwidth=1.5))
-                lt = build_zero_diag_gram(y, KernelSpec(bandwidth=2.5))
-                out.append(variance_hsic(hsic_estimate(kt, lt)))
-            return float(np.mean(out))
+            return float(np.mean([
+                variance_hsic(hsic_estimate(*curve_pair(rng, m, 0.3), *specs))
+                for _ in range(trials)
+            ]))
 
         ratios = []
         for m in (200, 400):
@@ -195,39 +214,35 @@ class TestVariance:
 
 class TestCrossCovariance:
     def test_identical_targets_equal_variance(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 30)
-        e1 = hsic_estimate(kt, lt, "XY")
-        e2 = hsic_estimate(kt, lt, "XZ")
+        x, y = random_pair(rng, 30)
+        e1, e2 = estimate(x, y), estimate(x, y)
         cov = cross_covariance(e1, e2)
         var = variance_hsic(e1)
         if var > VARIANCE_FLOOR:  # un-floored comparison is only fair here
             assert cov == pytest.approx(var, rel=1e-12)
 
     def test_constant_target_zero(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 10)
-        e_xy = hsic_estimate(kt, lt, "XY")
-        e_xz = hsic_estimate(kt, constant_offdiag_gram(10), "XZ")
-        assert abs(cross_covariance(e_xy, e_xz)) < 1e-15
+        x, y = random_pair(rng, 10)
+        assert abs(cross_covariance(estimate(x, y), against_constant(x))) < 1e-15
 
     def test_matches_enumeration_oracle(self, rng):
         m = 10
-        kt, lt = random_zero_diag_pair(rng, m)
-        _, dt = random_zero_diag_pair(rng, m)
-        e_xy = hsic_estimate(kt, lt, "XY")
-        e_xz = hsic_estimate(kt, dt, "XZ")
+        x, y = random_pair(rng, m)
+        _, d = random_pair(rng, m)
         # oracle: per-index sums by enumeration
-        s_h = h_vector_bruteforce(kt, lt)
-        s_g = h_vector_bruteforce(kt, dt)
+        (k, l), (_, g) = oracle_grams(x, y), oracle_grams(x, d)
+        s_h = h_vector_bruteforce(k, l)
+        s_g = h_vector_bruteforce(k, g)
         f = (m - 1) * (m - 2) * (m - 3)
         r = float(s_h @ s_g) / (m * f * f)
-        oracle = (16.0 / m) * (r - hsic_bruteforce(kt, lt) * hsic_bruteforce(kt, dt))
-        assert cross_covariance(e_xy, e_xz) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        oracle = (16.0 / m) * (r - hsic_bruteforce(k, l) * hsic_bruteforce(k, g))
+        got = cross_covariance(estimate(x, y), estimate(x, d))
+        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_mismatched_sizes(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 8)
-        kt2, lt2 = random_zero_diag_pair(rng, 10)
+        e8, e10 = estimate(*random_pair(rng, 8)), estimate(*random_pair(rng, 10))
         with pytest.raises(ValueError, match="differ"):
-            cross_covariance(hsic_estimate(kt, lt), hsic_estimate(kt2, lt2))
+            cross_covariance(e8, e10)
 
 
 class TestSyntheticBatchProperties:
@@ -236,16 +251,11 @@ class TestSyntheticBatchProperties:
         # every draw, the raw cross term respects the Cauchy-Schwarz bound
         # up to round-off, and the clamped 2x2 summary is PSD.
         from reldep.synthbench import SynthConfig, sample_synthetic, trial_config
-        from reldep.kernels import KernelSpec, build_zero_diag_gram
 
         base = SynthConfig(m=500, gamma3=0.7, seed=515)
         for t in range(100):
             j = sample_synthetic(trial_config(base, t))
-            ktx = build_zero_diag_gram(j.x, KernelSpec())
-            kty = build_zero_diag_gram(j.y, KernelSpec())
-            ktz = build_zero_diag_gram(j.z, KernelSpec())
-            e_xy = hsic_estimate(ktx, kty)
-            e_xz = hsic_estimate(ktx, ktz)
+            e_xy, e_xz = hsic_estimate(j.x, j.y), hsic_estimate(j.x, j.z)
             var_xy, var_xz = variance_hsic(e_xy), variance_hsic(e_xz)
             assert var_xy > VARIANCE_FLOOR and var_xz > VARIANCE_FLOOR
             raw = cross_covariance(e_xy, e_xz)
@@ -257,24 +267,24 @@ class TestSyntheticBatchProperties:
 class TestCovarianceSummary:
     def test_clamped_matrix_is_psd(self, rng):
         for m in (8, 20, 60):
-            kt, lt = random_zero_diag_pair(rng, m)
-            _, dt = random_zero_diag_pair(rng, m)
-            s = covariance_summary([hsic_estimate(kt, lt), hsic_estimate(kt, dt)])
+            x, y = random_pair(rng, m)
+            _, d = random_pair(rng, m)
+            s = covariance_summary([estimate(x, y), estimate(x, d)])
             assert abs(s[0, 1]) <= np.sqrt(s[0, 0] * s[1, 1]) * (1 + 1e-15)
             assert np.linalg.eigvalsh(s)[0] >= -1e-18
 
     def test_identical_targets_fully_correlated(self, rng):
-        kt, lt = random_zero_diag_pair(rng, 30)
-        s = covariance_summary([hsic_estimate(kt, lt), hsic_estimate(kt, lt)])
+        x, y = random_pair(rng, 30)
+        s = covariance_summary([estimate(x, y), estimate(x, y)])
         assert s[0, 0] == s[1, 1]
         assert abs(s[0, 1]) == pytest.approx(s[0, 0], rel=1e-12)
 
     def test_entries_are_variances_and_clamped_cross_terms(self, rng):
         m = 40
-        kt, lt = random_zero_diag_pair(rng, m)
-        _, dt = random_zero_diag_pair(rng, m)
-        _, gt = random_zero_diag_pair(rng, m)
-        es = [hsic_estimate(kt, lt), hsic_estimate(kt, dt), hsic_estimate(kt, gt)]
+        x, y = random_pair(rng, m)
+        _, d = random_pair(rng, m)
+        _, g = random_pair(rng, m)
+        es = [estimate(x, y), estimate(x, d), estimate(x, g)]
         s = covariance_summary(es)
         assert s.shape == (3, 3) and np.array_equal(s, s.T)
         for a in range(3):
