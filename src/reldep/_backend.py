@@ -13,16 +13,17 @@ squared distances, their Gaussian map or the linear inner products of a
 Rounding can leave a squared distance slightly below zero.  The tile
 keeps it so, and max(d2, 0) is taken where it is read: in the Gaussian
 map, the dense fill and on the selected order statistics.  That changes
-no bit, as max(., 0) is monotone.  Memory is O(m) plus a few tiles and
-the kept tiles: a variable whose padded upper distance tiles fit in
-``KEEP_BYTES // 4`` (m up to 616) keeps them in one block from its median
-pass to its sweeps, and other tiles of the first sweep are kept for the
-second in what the blocks leave of ``KEEP_BYTES``.  A kept tile has the
-bits of one formed anew.  The dense fill ``fill_square`` writes the same
-tiles into one m x m matrix from ``square_buffer``, which refuses sizes
-that cannot fit in physical memory.  No estimator reads it: it and
-``pairwise_sq_dists`` stay only as the tile tests' bit-exact references
-while the benchmark's tracer still names them.
+no bit, as max(., 0) is monotone.  Memory is the O(m d) rows plus a few
+tiles at any width d, and the kept tiles: a variable whose padded upper
+distance tiles fit in ``KEEP_BYTES // 4`` (m up to 616) keeps them in one
+block from its median pass to its sweeps, and other tiles of the first
+sweep are kept for the second in what the blocks leave of ``KEEP_BYTES``.
+A kept tile has the bits of one formed anew.  The dense fill
+``fill_square`` writes the same tiles into one m x m matrix from
+``square_buffer``, which refuses sizes that cannot fit in physical
+memory.  No estimator reads it: it and ``pairwise_sq_dists`` stay only as
+the tile tests' bit-exact references while the benchmark's tracer still
+names them.
 """
 
 import os
@@ -45,9 +46,6 @@ TILE = 256
 # changes time, never results; 0 turns keeping off.
 KEEP_BYTES = 8 << 20
 
-# Sampled pairs per chunk when the selection bracket is drawn.
-_SAMPLE_CHUNK = 1 << 15
-
 
 def backend_name() -> str:
     """Name of the kernel implementation, recorded in benchmark stamps."""
@@ -61,8 +59,8 @@ class TileRows:
     ``x`` holds the m rows zero-padded to a multiple of 8.  With ``norms``,
     the rows (||x_i||^2, 1), the tiles hold squared distances of the rows
     of ``x``, mapped through exp(-d2 / (2 sigma^2)) when ``sigma`` is set;
-    without, they hold inner products (the linear kernel).  ``twice`` is 2x
-    for the distance GEMM (one more m x d array), or None if not exact.
+    without, they hold inner products (the linear kernel).  Only
+    ``_kernel_tile`` reads ``twice``: 2x (one m x d array), or None if inexact.
 
     ``kept`` holds at most one block: all padded upper distance tiles of
     the rows, left by ``sq_distance_order_stats`` when they fit in
@@ -322,14 +320,13 @@ def _keep_distance_tiles(v: TileRows) -> None:
 
 
 def _pool_parts(v: TileRows):
-    """Arrays of v's pool, NaN outside it: the kept block, else each tile's pairs i < j in turn."""
+    """Arrays of v's pool, NaN outside it: the kept block, else each tile in the block's form."""
     if v.kept:
         yield v.kept[0]
         return
     out, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
     for i0, i1, j0, j1 in _tiles(v.m):
-        d2 = _kernel_tile(v, i0, i1, j0, j1, out, work)
-        yield d2[_triangles(i1 - i0)[0]] if i0 == j0 else d2
+        yield _kernel_tile(v, i0, i1, j0, j1, out, work, fill=np.nan)
 
 
 @lru_cache(maxsize=4)
@@ -362,12 +359,12 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
     ``attempt``, and reads the sample's order statistics at the scaled
     ranks, widened by about five standard deviations of a sample rank; a
     bracket edge beyond the sample is infinite.  With a kept block the
-    sample reads the pool values there; without, it forms them in chunks
-    by the pool's expansion ||a||^2 + ||b||^2 - 2<a, b>, not by exact
+    sample reads the pool values there; without, it forms them from ``v.x``
+    in chunks of one tile's bytes by the pool's expansion (not by exact
     differences, which near-duplicate rows far from the origin would put
-    outside the pool's rounding noise.  The sample is clamped at zero, as
-    the pool is where it is read.  The bracket only bounds the pass, so
-    its last bits do not matter.
+    outside the pool's rounding noise), clamped at zero as the pool is
+    where it is read.  The bracket only bounds the pass, so its last bits
+    do not matter.
     """
     m = v.m
     n = m * (m - 1) // 2
@@ -376,12 +373,13 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
         sample = v.kept[0][_block_index(m, size, attempt)]
     else:
         rows_i, rows_j = _sample_pairs(m, size, attempt)
-        sample, twice = np.empty(size), 2.0 * v.x if v.twice is None else v.twice
-        for c in range(0, size, _SAMPLE_CHUNK):
-            i, j = rows_i[c : c + _SAMPLE_CHUNK], rows_j[c : c + _SAMPLE_CHUNK]
-            part = sample[c : c + _SAMPLE_CHUNK]
-            np.einsum("ij,ij->i", twice[i], v.x[j], out=part)
-            np.subtract(v.norms[i, 0] + v.norms[j, 0], part, out=part)
+        sample, chunk = np.empty(size), max(TILE * TILE // v.x.shape[1], 1)
+        for c in range(0, size, chunk):
+            i, j = rows_i[c : c + chunk], rows_j[c : c + chunk]
+            part = sample[c : c + chunk]
+            np.einsum("ij,ij->i", v.x[i], v.x[j], out=part)
+            part *= -2.0
+            part += v.norms[i, 0] + v.norms[j, 0]
     np.maximum(sample, 0.0, out=sample)
     gap = int(2.5 * size**0.5) + 1
     lo_rank = k1 * size // n - gap
@@ -460,8 +458,10 @@ def hsic_h_reductions(*variables: TileRows, pairs):
     own = [None if b is None else _kept_tiles(m, b) for b in blocks]
     fresh = sum(b is None for b in blocks)
     # The other kept tiles share one block, what the variables' own blocks
-    # leave of KEEP_BYTES: only the pages they use are touched, and one
-    # allocation is reused by the allocator from call to call.
+    # leave of KEEP_BYTES; only the pages they use are touched.  Even when it
+    # keeps no tile, this allocation holds glibc's mmap and trim thresholds
+    # above the kept blocks, so they are not page-faulted on every call:
+    # without it, a power-m500 op took 8,673 minor faults, not 1.1.
     store = np.empty(max(KEEP_BYTES // 8 - sum(b.size for b in blocks if b is not None), 0))
     used, kept, outs = 0, [], None
 

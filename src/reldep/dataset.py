@@ -47,7 +47,7 @@ def _readonly(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """One variable's observations: rows are observations, columns features."""
 

@@ -26,7 +26,7 @@ in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import copysign, fsum, sqrt
 from typing import Sequence
 
@@ -63,7 +63,7 @@ VARIANCE_FLOOR = 1e-12
 _DOT_CHUNK = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HsicEstimate:
     """Unbiased HSIC value plus the per-observation aggregate vector.
 
@@ -74,7 +74,7 @@ class HsicEstimate:
     value: float
     h_vector: np.ndarray
     m: int
-    kernel_info: dict | None = field(default=None, compare=False)
+    kernel_info: dict | None = None
 
     def __post_init__(self):
         h = _readonly(self.h_vector)

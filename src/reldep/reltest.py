@@ -117,7 +117,7 @@ class TestResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointGaussianSummary:
     """Means and covariance of n jointly asymptotically Gaussian HSIC stats.
 
@@ -128,7 +128,7 @@ class JointGaussianSummary:
     means: np.ndarray
     covariance: np.ndarray
     m: int
-    kernel_info: dict | None = field(default=None, compare=False)
+    kernel_info: dict | None = None
 
     def __post_init__(self):
         means, cov = _readonly(self.means), _readonly(self.covariance)
@@ -156,7 +156,7 @@ class JointGaussianSummary:
         return self.means.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotationMatrix:
     """Proper rotation (orthogonal, det +1)."""
 

@@ -9,6 +9,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reldep
@@ -77,3 +78,25 @@ def test_benchmark_selftest_passes():
     )
     assert run.returncode == 0, run.stderr[-2000:]
     assert "benchmark self-tests passed" in run.stdout
+
+
+def test_array_holding_types_compare_by_identity():
+    # A generated __eq__ would compare their ndarray fields and raise
+    # "truth value of an array ... is ambiguous".
+    from reldep.reltest import rotation_matrix
+
+    rng = np.random.default_rng(3)
+    x, y, z = (reldep.Sample(rng.standard_normal((20, 2))) for _ in range(3))
+    j = reldep.align(x, y, z)
+    pairs = [(0, 1), (0, 2)]
+    twins = [
+        (x, reldep.Sample(x.data)),
+        (reldep.hsic_estimate(x, y), reldep.hsic_estimate(x, y)),
+        (reldep.joint_summary(j, pairs), reldep.joint_summary(j, pairs)),
+        (rotation_matrix([1.0, -1.0]), rotation_matrix([1.0, -1.0])),
+    ]
+    for one, other in twins:
+        assert one == one and one != other
+        assert len({one, other}) == 2
+    assert j == reldep.align(x, y, z)  # the same samples, so equal
+    assert reldep.dependent_test(j) == reldep.dependent_test(j)  # results compare by value

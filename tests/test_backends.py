@@ -163,6 +163,14 @@ class TestExactSelection:
     def test_sizes_around_the_tile(self, rng, m):
         self.check(rng.standard_normal((m, 2)))
 
+    # m = 300 reads a kept block unless KEEP_BYTES is 0; m = 700 streams its
+    # pool tiles and draws its bracket sample in 24 chunks.
+    @pytest.mark.parametrize("keep_bytes", [_backend.KEEP_BYTES, 0])
+    @pytest.mark.parametrize("m", [300, 700])
+    def test_wide_rows(self, rng, monkeypatch, m, keep_bytes):
+        monkeypatch.setattr(_backend, "KEEP_BYTES", keep_bytes)
+        self.check(rng.standard_normal((m, 400)))
+
     def test_pool_mostly_zeros(self, rng):
         # 100 identical rows: 4950 of the 7140 pairs are at distance 0.
         x = np.vstack([np.ones((100, 2)), rng.standard_normal((20, 2))])
@@ -651,3 +659,30 @@ class TestNearDuplicatesFarFromOrigin:
         now = results()
         monkeypatch.setattr(_backend, "_kernel_tile", parent_tile)
         assert results() == now
+
+
+def traced_peak(f):
+    """tracemalloc peak of f(), called once before to warm the caches."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWideInputMemory:
+    """At any width the median pass and a test hold a few tiles beyond the rows."""
+
+    def test_median_peak_within_four_inputs(self, rng):
+        s = Sample(rng.standard_normal((700, 400)))
+        assert traced_peak(lambda: median_heuristic(s)) <= 4 * s.data.nbytes
+
+    def test_median_peak_at_m3200(self, rng):
+        s = Sample(rng.standard_normal((3200, 400)))  # 10 MB of rows
+        assert traced_peak(lambda: median_heuristic(s)) <= 40e6
+
+    def test_dependent_test_peak_at_m1000(self, rng):
+        j = align(*(Sample(rng.standard_normal((1000, 400))) for _ in range(3)))
+        assert traced_peak(lambda: dependent_test(j)) <= 35e6

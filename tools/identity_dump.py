@@ -13,7 +13,11 @@ seeds at m = 1000, whose tiles no longer all fit the keep budget, with the
 default kernels and with linear-x/bandwidth-y.  Two cases with a user
 bandwidth on x follow: near-duplicate rows far from the origin, whose raw
 squared distances go below zero, and rows scaled by 2^-520, whose
-products fall below the normal range.  Then it prints the stdout
+products fall below the normal range.  Then come the tests of 3 seeds
+at m in {300, 700} with d = 256 columns: at m = 300 the median pass keeps
+its distance tiles, at m = 700 it streams them and draws its bracket
+sample in chunks, and at d <= 256 each tile is one GEMM, whose bits do
+not depend on the BLAS thread count.  Then it prints the stdout
 and output files of ``reldep test`` (the README's four forms and
 ``--format csv``, and kernel flags on the ``--pairs`` route with four and
 with two files), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
@@ -47,6 +51,7 @@ PAIR_SETS = (
     ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0)),
 )
 WEIGHTS = {2: (1.0, -1.0), 3: (1.0, 1.0, -2.0), 5: (0.5, -1.5, 2.0, 1.0, -0.25)}
+WIDE_D, WIDE_SIZES, WIDE_SEEDS = 256, (300, 700), range(3)
 
 
 def _hex(values):
@@ -95,6 +100,7 @@ def dump_results(reldep, out):
                 gen = reldep.generalized_test(summary, WEIGHTS[len(pairs)])
                 print(_result("generalized", pkey, gen), file=out)
     dump_edge_cases(reldep, out)
+    dump_wide(reldep, out)
 
 
 def dump_edge_cases(reldep, out):
@@ -113,6 +119,20 @@ def dump_edge_cases(reldep, out):
         case = reldep.align(reldep.Sample(x, name), j.y, j.z)
         cfg = KernelConfig(x=KernelSpec(bandwidth=bandwidth))
         dump_tests(reldep, f"{name}|bw-x", case, cfg, out)
+
+
+def dump_wide(reldep, out):
+    """The tests of synthetic samples widened by WIDE_D - 2 seeded noise columns."""
+    from reldep.kernels import KernelConfig
+    from reldep.synthbench import SynthConfig, sample_synthetic
+
+    for m in WIDE_SIZES:
+        for seed in WIDE_SEEDS:
+            j = sample_synthetic(SynthConfig(m=m, gamma3=0.9, seed=seed))
+            noise = np.random.default_rng(seed).standard_normal((3, m, WIDE_D - 2))
+            wide = reldep.align(*(reldep.Sample(np.hstack([s.data, 0.1 * n]), s.label)
+                                  for s, n in zip(j.samples, noise)))
+            dump_tests(reldep, f"wide-m{m}-d{WIDE_D}-s{seed}", wide, KernelConfig(), out)
 
 
 INPUTS = ("x.csv", "y.csv", "z.csv", "t3.csv")

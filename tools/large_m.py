@@ -7,8 +7,8 @@ Draws a synthetic sample (gamma3 = 0.7, fixed seed), runs one
 ``dependent_test`` on it and prints the wall time of the test, its p-value
 and the process's peak resident set size (``ru_maxrss``).  A dense test
 would need three m x m matrices (9.6 GB at m = 20,000); the streamed test
-holds O(m) memory plus a few tiles.  Run it in a fresh process, so the
-peak belongs to this test alone.
+holds the O(m d) rows plus a few tiles, at any width d.  Run it in a fresh
+process, so the peak belongs to this test alone.
 """
 
 import argparse
