@@ -14,16 +14,15 @@ Rounding can leave a squared distance slightly below zero.  The tile
 keeps it so, and max(d2, 0) is taken where it is read: in the Gaussian
 map, the dense fill and on the selected order statistics.  That changes
 no bit, as max(., 0) is monotone.  Memory is the O(m d) rows plus a few
-tiles at any width d, and the kept tiles: a variable whose padded upper
-distance tiles fit in ``KEEP_BYTES // 4`` (m up to 616) keeps them in one
-block from its median pass to its sweeps, and other tiles of the first
-sweep are kept for the second in what the blocks leave of ``KEEP_BYTES``.
-A kept tile has the bits of one formed anew.  The dense fill
-``fill_square`` writes the same tiles into one m x m matrix from
-``square_buffer``, which refuses sizes that cannot fit in physical
-memory.  No estimator reads it: it and ``pairwise_sq_dists`` stay only as
-the tile tests' bit-exact references while the benchmark's tracer still
-names them.
+tiles at any width d, and one estimate call's store of ``KEEP_BYTES``:
+each median pass keeps its variable's padded upper distance tiles in a
+block off the store's front while one fits, for its sweeps too, and the
+first sweep keeps other tiles for the second in the rest.  A kept tile has
+the bits of one formed anew.  The dense fill ``fill_square`` writes the
+same tiles into one m x m matrix from ``square_buffer``, which refuses
+sizes that cannot fit in physical memory.  No estimator reads it: it and
+``pairwise_sq_dists`` stay only as the tile tests' bit-exact references
+while the benchmark's tracer still names them.
 """
 
 import os
@@ -39,11 +38,11 @@ from reldep.dataset import PreconditionError
 # register tiles.
 TILE = 256
 
-# Bytes of tiles kept instead of recomputed: a quarter of it for the
-# distance tiles of each variable the median pass forms, all of it, less
-# those, for what hsic_h_reductions keeps from its first sweep for its
-# second.  A kept tile has the same bits as a recomputed one, so this
-# changes time, never results; 0 turns keeping off.
+# Bytes of tiles one estimate call keeps instead of recomputing, in one
+# store: the median passes' blocks of distance tiles off its front while
+# one fits, and what hsic_h_reductions keeps from its first sweep for its
+# second in the rest.  A kept tile has the same bits as a recomputed one,
+# so this changes time, never results; 0 turns keeping off.
 KEEP_BYTES = 8 << 20
 
 
@@ -62,18 +61,17 @@ class TileRows:
     without, they hold inner products (the linear kernel).  Only
     ``_kernel_tile`` reads ``twice``: 2x (one m x d array), or None if inexact.
 
-    ``kept`` holds at most one block: all padded upper distance tiles of
-    the rows, left by ``sq_distance_order_stats`` when they fit in
-    ``KEEP_BYTES // 4``.  ``hsic_h_reductions`` takes the block and maps it
-    in place, so it is used once; ``dataclasses.replace`` (which sets
-    ``sigma`` after the median pass) shares it with the new rows.
+    ``block``, when set, has room for all padded upper distance tiles of
+    the rows (``block_size``): ``sq_distance_order_stats`` forms them there
+    for every pass, and ``hsic_h_reductions`` maps them in place, so rows
+    with a block serve one estimate.
     """
 
     x: np.ndarray
     m: int
     norms: np.ndarray | None = None
     sigma: float | None = None
-    kept: list = field(default_factory=list, repr=False)
+    block: np.ndarray | None = field(default=None, repr=False)
     twice: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -87,7 +85,7 @@ def _padded(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros((-x.shape[0] % 8, x.shape[1]))])
 
 
-def distance_rows(x: np.ndarray) -> TileRows:
+def distance_rows(x: np.ndarray, store: np.ndarray | None = None) -> TileRows:
     """Rows of ``x`` (m, d) for squared-distance tiles.
 
     Centres each column at its midrange, which leaves every distance
@@ -103,7 +101,8 @@ def distance_rows(x: np.ndarray) -> TileRows:
     (2a).b rounds to 2(a.b) unless a partial result is subnormal and
     inexact.  Entries of at least 2^-485 are multiples of 2^-537, whose
     products and sums are multiples of 2^-1074, exact when subnormal; rows
-    with a smaller nonzero entry are not doubled.
+    with a smaller nonzero entry are not doubled.  When ``store`` holds
+    ``block_size(m)`` floats, the rows' ``block`` is its front.
     """
     x = np.asarray(x, dtype=np.float64)
     padded = _padded(x - 0.5 * (x.min(axis=0) + x.max(axis=0)))
@@ -115,7 +114,9 @@ def distance_rows(x: np.ndarray) -> TileRows:
             f" norm {peak:.3g}, above {limit:.3g}; rescale the input"
         )
     exact = np.abs(padded[padded != 0.0]).min(initial=1.0) >= 2.0**-485
+    size = block_size(x.shape[0])
     return TileRows(padded, x.shape[0], np.column_stack([sq, np.ones_like(sq)]),
+                    block=store[:size] if store is not None and size <= store.size else None,
                     twice=2.0 * padded if exact else None)
 
 
@@ -133,27 +134,31 @@ def _tiles(m: int):
             yield i0, min(i0 + TILE, m), j0, min(j0 + TILE, m)
 
 
-@lru_cache(maxsize=16)
-def _layout(m: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Where the padded upper tiles of m rows sit in one kept block.
+def block_size(m: int) -> int:
+    """Floats in a block of all padded upper tiles of m rows: half of (sum h)^2 + sum h^2."""
+    full, last = divmod(m, TILE)
+    last += -last % 8
+    return ((full * TILE + last) ** 2 + full * TILE * TILE + last * last) // 2
 
-    Returns the start of tile (I, J) by tile row and column, the padded
-    height of each tile row and the block's length; the tiles follow
-    ``_tiles`` order.
+
+@lru_cache(maxsize=16)
+def _layout(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the padded upper tiles of m rows sit in one block, in ``_tiles`` order.
+
+    Returns the start of tile (I, J) by tile row and column, and the padded
+    height of each tile row.
     """
     padded = np.array([h + -h % 8 for h in (min(TILE, m - i0) for i0 in range(0, m, TILE))])
-    starts, size = np.zeros((padded.size, padded.size), dtype=np.intp), 0
-    for i0, _, j0, _ in _tiles(m):
-        starts[i0 // TILE, j0 // TILE] = size
-        size += int(padded[i0 // TILE] * padded[j0 // TILE])
+    sizes = np.triu(np.outer(padded, padded))
+    starts = (sizes.cumsum() - sizes.ravel()).reshape(sizes.shape)
     for a in (starts, padded):
         a.setflags(write=False)
-    return starts, padded, size
+    return starts, padded
 
 
 def _kept_tiles(m: int, block: np.ndarray):
     """((i0, i1, j0, j1), padded tile) of a kept block, in ``_tiles`` order."""
-    starts, padded, _ = _layout(m)
+    starts, padded = _layout(m)
     for i0, i1, j0, j1 in _tiles(m):
         h, w = padded[i0 // TILE], padded[j0 // TILE]
         at = starts[i0 // TILE, j0 // TILE]
@@ -291,10 +296,16 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     of the clamped pool is the clamp of the k-th of the raw pool.  A miss
     is drawn again from a sample four times larger, under another seed;
     only a second miss reruns the pass unbounded.  The result is exact
-    either way.  When the tiles fit in ``KEEP_BYTES // 4`` they are formed
-    once, into the block that ``v.kept`` then holds, for every pass.
+    either way.  Rows with a ``block`` have their tiles formed once, into
+    it, for every pass, with NaN (which no comparison counts, and which the
+    kernel map zeroes where its tiles show it) where no pair i < j is;
+    other rows form them pass by pass.
     """
-    _keep_distance_tiles(v)
+    if v.block is not None:
+        work = np.empty(TILE * TILE)
+        for (i0, i1, j0, j1), blk in _kept_tiles(v.m, v.block):
+            _kernel_tile(v, i0, i1, j0, j1, blk.reshape(-1), work, fill=np.nan)
+            blk[i1 - i0 :] = blk[:, j1 - j0 :] = np.nan
     for attempt in range(2):
         found = _select_in_bracket(v, k1, k2, *_sample_bracket(v, k1, k2, attempt))
         if found is not None:
@@ -302,27 +313,10 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     return _select_in_bracket(v, k1, k2, -np.inf, np.inf)
 
 
-def _keep_distance_tiles(v: TileRows) -> None:
-    """Form v's padded upper distance tiles into one block on ``v.kept`` if it fits KEEP_BYTES // 4.
-
-    The block's places that hold no pair i < j are NaN, which no
-    comparison of the selection counts; the kernel map zeroes those that
-    its tiles show.
-    """
-    size = _layout(v.m)[2]
-    if v.kept or 8 * size > KEEP_BYTES // 4:
-        return
-    block, work = np.empty(size), np.empty(TILE * TILE)
-    for (i0, i1, j0, j1), blk in _kept_tiles(v.m, block):
-        _kernel_tile(v, i0, i1, j0, j1, blk.reshape(-1), work, fill=np.nan)
-        blk[i1 - i0 :] = blk[:, j1 - j0 :] = np.nan
-    v.kept.append(block)
-
-
 def _pool_parts(v: TileRows):
     """Arrays of v's pool, NaN outside it: the kept block, else each tile in the block's form."""
-    if v.kept:
-        yield v.kept[0]
+    if v.block is not None:
+        yield v.block
         return
     out, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
     for i0, i1, j0, j1 in _tiles(v.m):
@@ -345,7 +339,7 @@ def _sample_pairs(m: int, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]
 @lru_cache(maxsize=4)
 def _block_index(m: int, size: int, seed: int) -> np.ndarray:
     """Positions in a kept block of the pairs of ``_sample_pairs``."""
-    starts, padded, _ = _layout(m)
+    starts, padded = _layout(m)
     i, j = _sample_pairs(m, size, seed)
     at = starts[i // TILE, j // TILE] + i % TILE * padded[j // TILE] + j % TILE
     at.setflags(write=False)
@@ -369,15 +363,15 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
     m = v.m
     n = m * (m - 1) // 2
     size = int(n ** (2.0 / 3.0)) * 4**attempt
-    if v.kept:
-        sample = v.kept[0][_block_index(m, size, attempt)]
+    if v.block is not None:
+        sample = v.block[_block_index(m, size, attempt)]
     else:
         rows_i, rows_j = _sample_pairs(m, size, attempt)
         sample, chunk = np.empty(size), max(TILE * TILE // v.x.shape[1], 1)
         for c in range(0, size, chunk):
             i, j = rows_i[c : c + chunk], rows_j[c : c + chunk]
             part = sample[c : c + chunk]
-            np.einsum("ij,ij->i", v.x[i], v.x[j], out=part)
+            np.einsum("ij,ij->i", np.take(v.x, i, axis=0), np.take(v.x, j, axis=0), out=part)
             part *= -2.0
             part += v.norms[i, 0] + v.norms[j, 0]
     np.maximum(sample, 0.0, out=sample)
@@ -426,7 +420,7 @@ def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
     return tuple(max(float(lo if r < 0 else pool[r] if r < pool.size else hi), 0.0) for r in ranks)
 
 
-def hsic_h_reductions(*variables: TileRows, pairs):
+def hsic_h_reductions(*variables: TileRows, pairs, store: np.ndarray | None = None):
     """O(m) reductions of the zero-diagonal Grams of ``variables``, from tiles.
 
     ``pairs`` lists (a, b) index pairs into ``variables``, with K and L the
@@ -440,12 +434,13 @@ def hsic_h_reductions(*variables: TileRows, pairs):
     row sums to rows I and its column sums to rows J, and the same for the
     products of the paired tiles.  The second adds K_IJ times the partners'
     row sums of J to rows I and K_IJ' times those of I to rows J, one
-    matrix product per variable.  A kept block (``TileRows.kept``) is given
+    matrix product per variable.  A variable's formed ``block`` is used
     up here: the first sweep maps its tiles in place and the second reads
-    them, so rows passed again form their tiles anew.  Other tiles of the
-    first sweep are kept for the second in what the blocks leave of
-    ``KEEP_BYTES``, else formed again.  An input that overflows (a linear
-    kernel on huge data) gives inf or nan here, without a warning, for the
+    them, so rows with a block are passed once.  Other tiles of the first
+    sweep are kept for the second in ``store`` (the rest of the call's
+    store after the blocks, or a ``KEEP_BYTES`` one of its own) while they
+    fit, else formed again.  An input that overflows (a linear kernel on
+    huge data) gives inf or nan here, without a warning, for the
     estimator's finiteness check to refuse.
     """
     n, m = len(variables), variables[0].m
@@ -454,15 +449,10 @@ def hsic_h_reductions(*variables: TileRows, pairs):
     row_sums = np.zeros((n, m))
     kl_rows = np.zeros((len(pairs), m))
     work, ones = np.empty(TILE * TILE), np.ones(TILE)
-    blocks = [v.kept.pop() if v.kept else None for v in variables]
-    own = [None if b is None else _kept_tiles(m, b) for b in blocks]
-    fresh = sum(b is None for b in blocks)
-    # The other kept tiles share one block, what the variables' own blocks
-    # leave of KEEP_BYTES; only the pages they use are touched.  Even when it
-    # keeps no tile, this allocation holds glibc's mmap and trim thresholds
-    # above the kept blocks, so they are not page-faulted on every call:
-    # without it, a power-m500 op took 8,673 minor faults, not 1.1.
-    store = np.empty(max(KEEP_BYTES // 8 - sum(b.size for b in blocks if b is not None), 0))
+    own = [None if v.block is None else _kept_tiles(m, v.block) for v in variables]
+    fresh = own.count(None)
+    if store is None:
+        store = np.empty(KEEP_BYTES // 8)
     used, kept, outs = 0, [], None
 
     with np.errstate(over="ignore", invalid="ignore"):

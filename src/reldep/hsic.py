@@ -17,11 +17,11 @@ estimate carries, next to the value and from the same O(m) reductions
 entry i is exactly ``H_SUM_RATIO`` times the sum of h(i,j,q,r) over all
 ordered 3-tuples (j,q,r) of distinct indices avoiding i.  One formula
 turns the reductions into both, and ``hsic_estimates`` takes them from
-the backend's streamed tiles.  ``hsic_estimate`` is the entry point for
-two samples.  ``covariance_summary`` turns the h-vectors of n estimates
-on shared sample rows into one clamped n x n covariance matrix.  The
-brute-force enumerations that cross-check all this live with the tests,
-in ``tests/oracles.py``.
+the backend's streamed tiles of the samples' kernels.  ``hsic_estimate``
+is the entry point for two samples.  ``covariance_summary`` turns the
+h-vectors of n estimates on shared sample rows into one clamped n x n
+covariance matrix.  The brute-force enumerations that cross-check all
+this live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from reldep import _backend
-from reldep._backend import TileRows
 from reldep.dataset import PreconditionError, Sample, _readonly, row_count
 from reldep.kernels import KernelSpec, kernel_info, kernel_rows
 
@@ -146,22 +145,36 @@ def _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, pair_label) -> Hsi
 
 
 def hsic_estimates(
-    variables: Sequence[TileRows],
+    samples: Sequence[Sample],
+    specs: Sequence[KernelSpec],
     pairs: Sequence[tuple[int, int]],
     labels: Sequence[str],
-) -> list[HsicEstimate]:
-    """Unbiased estimates with h-vectors for (a, b) index pairs into ``variables``.
+) -> tuple[list[HsicEstimate], list[dict]]:
+    """Unbiased estimates with h-vectors for (a, b) index pairs into ``samples``, and their kernels.
 
-    The estimates of all pairs come from one ``hsic_h_reductions``: two
-    sweeps over the kernels' tiles, with no m x m matrix.  ``labels`` name
-    the pairs in overflow errors.
+    Each sample's kernel is resolved from its spec (``kernel_rows``), and
+    all pairs' estimates come from one ``hsic_h_reductions``, with no m x m
+    matrix.  The call keeps tiles in one ``KEEP_BYTES`` store, made here
+    when a median block can fit it: each median pass takes its block of
+    distance tiles off the front while one fits, and the sweeps keep tiles
+    in the rest.  ``labels`` name the pairs in overflow errors.  Returns
+    the estimates and each sample's ``kernel_info``.
     """
-    m = _check_m(variables[0].m)
-    row_sums, per_pair = _backend.hsic_h_reductions(*variables, pairs=pairs)
-    return [
+    m = row_count(samples)
+    keep = _backend.KEEP_BYTES // 8
+    store = np.empty(keep) if _backend.block_size(m) <= keep else None
+    rows = []
+    for s, spec in zip(samples, specs):
+        rows.append(kernel_rows(s, spec, store))
+        if rows[-1].block is not None:
+            store = store[rows[-1].block.size :]
+    _check_m(m)
+    row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs, store=store)
+    estimates = [
         _from_reductions(m, row_sums[a], row_sums[b], *sums, label)
         for (a, b), sums, label in zip(pairs, per_pair, labels)
     ]
+    return estimates, [kernel_info(r) for r in rows]
 
 
 def hsic_estimate(
@@ -169,16 +182,14 @@ def hsic_estimate(
 ) -> HsicEstimate:
     """Unbiased HSIC of two row-aligned samples, with its h-vector and resolved kernels.
 
-    Each kernel is resolved from its own sample (``kernel_rows``) and the
-    estimate streams their tiles (``hsic_estimates``), so no m x m matrix
-    is held.  The value can be negative even though the population
-    quantity is not.  Samples whose row counts differ raise DatasetError;
-    fewer than 4 rows, or overflow, raise PreconditionError.
+    Each kernel is resolved from its own sample and the estimate streams
+    their tiles (``hsic_estimates``), so no m x m matrix is held.  The
+    value can be negative even though the population quantity is not.
+    Samples whose row counts differ raise DatasetError; fewer than 4 rows,
+    or overflow, raise PreconditionError.
     """
-    row_count([x, y])
-    rx, ry = kernel_rows(x, kernel_x), kernel_rows(y, kernel_y)
-    (est,) = hsic_estimates([rx, ry], [(0, 1)], ["XY"])
-    return replace(est, kernel_info={"x": kernel_info(rx), "y": kernel_info(ry)})
+    (est,), (info_x, info_y) = hsic_estimates([x, y], [kernel_x, kernel_y], [(0, 1)], ["XY"])
+    return replace(est, kernel_info={"x": info_x, "y": info_y})
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class KernelConfig(NamedTuple):
     z: KernelSpec = KernelSpec()
 
 
-def _median_rows(s: Sample) -> tuple[_backend.TileRows, float]:
+def _median_rows(s: Sample, store: np.ndarray | None = None) -> tuple[_backend.TileRows, float]:
     """Distance rows of ``s`` and its median pairwise distance.
 
     Selects the two central order statistics of the squared distances
@@ -77,7 +77,7 @@ def _median_rows(s: Sample) -> tuple[_backend.TileRows, float]:
         raise PreconditionError("median heuristic needs at least 2 observations")
     if np.array_equal(s.data.min(axis=0), s.data.max(axis=0)):
         raise PreconditionError("degenerate sample: zero median distance")
-    rows = _backend.distance_rows(s.data)
+    rows = _backend.distance_rows(s.data, store)
     n_pairs = s.m * (s.m - 1) // 2
     lo, hi = _backend.sq_distance_order_stats(rows, (n_pairs - 1) // 2, n_pairs // 2)
     sigma = float(0.5 * (np.sqrt(lo) + np.sqrt(hi)))
@@ -94,11 +94,12 @@ def median_heuristic(s: Sample) -> float:
     return _median_rows(s)[1]
 
 
-def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
+def kernel_rows(s: Sample, spec: KernelSpec, store: np.ndarray | None = None) -> _backend.TileRows:
     """Rows of one variable, ready for its kernel tiles, bandwidth resolved.
 
     A Gaussian spec without a bandwidth takes the median heuristic, from
-    the same distance rows its kernel tiles are then formed from.  A
+    the same distance rows its kernel tiles are then formed from, and its
+    pass keeps them in a block off the front of ``store`` if one fits.  A
     bandwidth whose square underflows or overflows float64 (outside about
     1.5e-154 to 1.3e154) would divide by zero or give every kernel value 1,
     so it raises PreconditionError.
@@ -106,7 +107,7 @@ def kernel_rows(s: Sample, spec: KernelSpec) -> _backend.TileRows:
     if spec.family == LINEAR:
         return _backend.linear_rows(s.data)
     if spec.bandwidth is None:
-        rows, sigma = _median_rows(s)
+        rows, sigma = _median_rows(s, store)
     else:
         rows, sigma = _backend.distance_rows(s.data), spec.bandwidth
     if not np.finfo(np.float64).tiny <= sigma * sigma < np.inf:

@@ -34,7 +34,7 @@ from reldep.hsic import (
     hsic_estimates,
     variance_hsic,
 )
-from reldep.kernels import KernelConfig, KernelSpec, kernel_info, kernel_rows
+from reldep.kernels import KernelConfig, KernelSpec
 
 __all__ = [
     "DEPENDENT",
@@ -288,19 +288,16 @@ def independent_test(
     _check_alpha(alpha)
     cfg = kernel_config or KernelConfig()
     first, second = split_half(j, shuffle_seed=shuffle_seed)
-    halves = ((first.x, cfg.x), (first.y, cfg.y), (second.x, cfg.x), (second.y, cfg.z))
-    rx1, ry, rx2, rz = (kernel_rows(s, spec) for s, spec in halves)
-    e_xy, e_xz = hsic_estimates([rx1, ry, rx2, rz], [(0, 1), (2, 3)], ["X'Y'", "X''Z''"])
+    (e_xy, e_xz), (ix1, iy, ix2, iz) = hsic_estimates(
+        [first.x, first.y, second.x, second.y], [cfg.x, cfg.y, cfg.x, cfg.z],
+        [(0, 1), (2, 3)], ["X'Y'", "X''Z''"],
+    )
     summary = JointGaussianSummary(
         means=np.array([e_xy.value, e_xz.value]),
         covariance=np.diag([variance_hsic(e_xy), variance_hsic(e_xz)]),
         m=j.m // 2,
     )
-    info = {
-        "x": {**kernel_info(rx1), "bandwidth": [rx1.sigma, rx2.sigma]},
-        "y": kernel_info(ry),
-        "z": kernel_info(rz),
-    }
+    info = {"x": {**ix1, "bandwidth": [ix1["bandwidth"], ix2["bandwidth"]]}, "y": iy, "z": iz}
     return _verdict(summary, _DIFFERENCE, alpha, INDEPENDENT, j.m, info)
 
 
@@ -351,16 +348,16 @@ def joint_summary(
     for i in used:
         if not 0 <= i < len(sample_list):
             raise ValueError(f"pair index {i} out of range")
-    rows = [kernel_rows(sample_list[i], specs[i]) for i in used]
     at = {i: k for k, i in enumerate(used)}
-    estimates = hsic_estimates(
-        rows, [(at[a], at[b]) for a, b in pairs], [f"{a}-{b}" for a, b in pairs]
+    estimates, infos = hsic_estimates(
+        [sample_list[i] for i in used], [specs[i] for i in used],
+        [(at[a], at[b]) for a, b in pairs], [f"{a}-{b}" for a, b in pairs],
     )
     return JointGaussianSummary(
         means=np.array([e.value for e in estimates]),
         covariance=covariance_summary(estimates),
         m=m,
-        kernel_info={str(i): kernel_info(rows[at[i]]) for i in sorted(used)},
+        kernel_info={str(i): infos[at[i]] for i in sorted(used)},
     )
 
 

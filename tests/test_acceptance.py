@@ -15,7 +15,7 @@ import pytest
 
 from reldep.dataset import Sample
 from reldep.hsic import H_SUM_RATIO, cross_covariance, hsic_estimate, hsic_estimates
-from reldep.kernels import KernelSpec, kernel_rows
+from reldep.kernels import KernelSpec
 from reldep.reltest import (
     dependent_test,
     generalized_test,
@@ -39,17 +39,17 @@ def report(cid: str, name: str, passed: bool, detail: str) -> None:
 
 
 def random_pair(rng, m):
-    """The oracles' Grams of two random samples, and the same kernels' tile rows."""
+    """The oracles' Grams of two random samples, and each sample with its kernel's spec."""
     x, y = rng.standard_normal((2, m, 3))
     sx, sy = map(float, rng.uniform(0.6, 2.0, size=2))
     grams = gaussian_gram(x, sx), gaussian_gram(y, sy)
-    return grams, (kernel_rows(Sample(x), KernelSpec(bandwidth=sx)),
-                   kernel_rows(Sample(y), KernelSpec(bandwidth=sy)))
+    return grams, ((Sample(x), KernelSpec(bandwidth=sx)), (Sample(y), KernelSpec(bandwidth=sy)))
 
 
-def streamed(rows, pairs):
-    """The estimator the tests run: ``hsic_estimates`` over kernel rows."""
-    return hsic_estimates(rows, pairs, [f"{a}-{b}" for a, b in pairs])
+def streamed(inputs, pairs):
+    """The estimator the tests run: ``hsic_estimates`` over (sample, spec) inputs."""
+    samples, specs = zip(*inputs)
+    return hsic_estimates(samples, specs, pairs, [f"{a}-{b}" for a, b in pairs])[0]
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +75,9 @@ def test_c01_estimator_oracle_equivalence():
     worst = 0.0
     for m in (4, 6, 8, 10, 12):
         for _ in range(50):
-            (kt, lt), rows = random_pair(rng, m)
+            (kt, lt), inputs = random_pair(rng, m)
             oracle = hsic_bruteforce(kt, lt)
-            (est,) = streamed(rows, [(0, 1)])
+            (est,) = streamed(inputs, [(0, 1)])
             worst = max(worst, abs(est.value - oracle) / max(1.0, abs(oracle)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 5.0
@@ -92,22 +92,22 @@ def test_c02_h_vector_and_cross_covariance_oracles():
     start = time.perf_counter()
     worst_h = 0.0
     for m in (8, 10, 12):
-        (kt, lt), rows = random_pair(rng, m)
+        (kt, lt), inputs = random_pair(rng, m)
         raw = h_vector_bruteforce(kt, lt)
-        (est,) = streamed(rows, [(0, 1)])
+        (est,) = streamed(inputs, [(0, 1)])
         rel = np.abs(est.h_vector - H_SUM_RATIO * raw) / np.maximum(1.0, np.abs(raw))
         worst_h = max(worst_h, float(rel.max()))
 
     m = 10
-    (kt, lt), (rx, ry) = random_pair(rng, m)
-    (_, dt), (_, rd) = random_pair(rng, m)
+    (kt, lt), (x_in, y_in) = random_pair(rng, m)
+    (_, dt), (_, d_in) = random_pair(rng, m)
     s_h = h_vector_bruteforce(kt, lt)
     s_g = h_vector_bruteforce(kt, dt)
     f = (m - 1) * (m - 2) * (m - 3)
     oracle_cov = (16.0 / m) * (
         float(s_h @ s_g) / (m * f * f) - hsic_bruteforce(kt, lt) * hsic_bruteforce(kt, dt)
     )
-    got = cross_covariance(*streamed([rx, ry, rd], [(0, 1), (0, 2)]))
+    got = cross_covariance(*streamed([x_in, y_in, d_in], [(0, 1), (0, 2)]))
     cov_err = abs(got - oracle_cov) / max(1.0, abs(oracle_cov))
     elapsed = time.perf_counter() - start
     ok = worst_h < 1e-9 and cov_err < 1e-9 and elapsed < 10.0

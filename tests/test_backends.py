@@ -1,8 +1,13 @@
 """The O(m^2) kernels in reldep._backend against direct computation."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,8 +152,10 @@ class TestExactSelection:
     """The streamed selection must equal the sorted packed pool exactly."""
 
     def check(self, x):
+        # Rows as an estimate call's first median pass gets them: with a
+        # block when one fits KEEP_BYTES.
         pool = sorted_pool(_backend.pairwise_sq_dists(x))
-        rows = _backend.distance_rows(x)
+        rows = _backend.distance_rows(x, np.empty(_backend.KEEP_BYTES // 8))
         for k1, k2 in rank_pairs(pool.size):
             want = (pool[k1], pool[k2])
             assert _backend.sq_distance_order_stats(rows, k1, k2) == want
@@ -163,7 +170,7 @@ class TestExactSelection:
     def test_sizes_around_the_tile(self, rng, m):
         self.check(rng.standard_normal((m, 2)))
 
-    # m = 300 reads a kept block unless KEEP_BYTES is 0; m = 700 streams its
+    # Both read a kept block unless KEEP_BYTES is 0; then m = 700 streams its
     # pool tiles and draws its bracket sample in 24 chunks.
     @pytest.mark.parametrize("keep_bytes", [_backend.KEEP_BYTES, 0])
     @pytest.mark.parametrize("m", [300, 700])
@@ -427,11 +434,41 @@ def curve_sample(rng, m):
 
 def block_bytes(m):
     """Bytes of one variable's kept block of padded upper distance tiles."""
-    return 8 * _backend._layout(m)[2]
+    return 8 * _backend.block_size(m)
+
+
+def kept_rows(x):
+    """Distance rows of x with a block, as an estimate call's first median pass has them."""
+    return _backend.distance_rows(x, np.empty(_backend.block_size(len(x))))
+
+
+def spy_reductions(monkeypatch):
+    """Per ``hsic_h_reductions`` call: which variables carry a block, and the store's bytes."""
+    reductions, calls = _backend.hsic_h_reductions, []
+
+    def spy(*variables, pairs, store=None):
+        blocks = [v.block is not None for v in variables]
+        calls.append((blocks, None if store is None else store.nbytes))
+        return reductions(*variables, pairs=pairs, store=store)
+
+    monkeypatch.setattr(_backend, "hsic_h_reductions", spy)
+    return calls
+
+
+def split_result(j):
+    from reldep.reltest import independent_test
+
+    ind = independent_test(j)
+    return ind, ind.summary.covariance.tobytes()
+
+
+def pair_estimate(j):
+    est = reldep.hsic_estimate(j.x, j.y)
+    return est.value.hex(), est.h_vector.tobytes(), est.kernel_info
 
 
 class TestKeptDistanceTiles:
-    """The median pass's kept distance tiles change time, never a bit."""
+    """One store per estimate call keeps tiles; that changes time, never a bit."""
 
     def results(self, j):
         from reldep.reltest import independent_test
@@ -439,55 +476,68 @@ class TestKeptDistanceTiles:
         dep, ind = dependent_test(j), independent_test(j)
         return dep, ind, dep.summary.covariance.tobytes(), ind.summary.covariance.tobytes()
 
-    @pytest.mark.parametrize("m", [250, TILE, TILE + 1, 500, 2 * TILE, 616, 617])
+    @pytest.mark.parametrize("m", [250, TILE, TILE + 1, 500, 2 * TILE, 616, 617, 720, 728])
     def test_tests_and_bandwidths_bitwise(self, rng, monkeypatch, m):
-        from reldep.kernels import kernel_rows
-
         j = curve_sample(rng, m)
-        assert bool(kernel_rows(j.x, KernelSpec()).kept) == (m <= 616)
+        calls = spy_reductions(monkeypatch)
         kept = self.results(j), median_heuristic(j.y)
+        assert [blocks for blocks, _ in calls] == [[True, True, m <= 720], [True] * 4]
         monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
-        assert not kernel_rows(j.x, KernelSpec()).kept
         assert (self.results(j), median_heuristic(j.y)) == kept
+        assert not any(any(blocks) for blocks, _ in calls[2:])
 
-    @pytest.mark.parametrize("spare", [0, -8])
+    # First fit: each median pass takes its block off the call's store while
+    # one fits, so the last variables of a call lose theirs first.
+    @pytest.mark.parametrize("route, m, blocks", [
+        (dependent_test, 720, [True] * 3), (dependent_test, 728, [True, True, False]),
+        (split_result, 2 * 616, [True] * 4), (split_result, 2 * 617, [True] * 3 + [False]),
+        (pair_estimate, 904, [True] * 2), (pair_estimate, 912, [True, False]),
+    ])
+    def test_keep_edges_bitwise(self, rng, monkeypatch, route, m, blocks):
+        j = curve_sample(rng, m)
+        calls = spy_reductions(monkeypatch)
+        kept = route(j)
+        assert calls[0][0] == blocks
+        monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
+        assert route(j) == kept
+
+    @pytest.mark.parametrize("spare", [0, -8, 8])
     def test_budget_edge_bitwise(self, rng, monkeypatch, spare):
-        from reldep.kernels import kernel_rows
-
         m = 500
         j = curve_sample(rng, m)
-        monkeypatch.setattr(_backend, "KEEP_BYTES", 4 * (block_bytes(m) + spare))
-        assert bool(kernel_rows(j.x, KernelSpec()).kept) == (spare == 0)
+        keep_bytes = 3 * block_bytes(m) + spare
+        monkeypatch.setattr(_backend, "KEEP_BYTES", keep_bytes)
+        calls = spy_reductions(monkeypatch)
         edge = self.results(j)
+        blocks = [True, True, spare >= 0]
+        assert calls[0] == (blocks, keep_bytes - sum(blocks) * block_bytes(m))
         monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
         assert self.results(j) == edge
 
-    def test_rows_reused_form_their_tiles_anew(self, rng):
+    def test_same_samples_in_two_calls_give_the_same_bytes(self, rng, monkeypatch):
         from reldep.hsic import hsic_estimates
-        from reldep.kernels import kernel_rows
 
         j = curve_sample(rng, 300)
-        rows = [kernel_rows(s, KernelSpec()) for s in j.samples]
-        assert all(r.kept for r in rows)
-        pairs, labels = [(0, 1), (0, 2)], ["xy", "xz"]
-        first = hsic_estimates(rows, pairs, labels)
-        assert not any(r.kept for r in rows)
-        second = hsic_estimates(rows, pairs, labels)
-        for a, b in zip(first, second):
+        calls = spy_reductions(monkeypatch)
+        args = j.samples, [KernelSpec()] * 3, [(0, 1), (0, 2)], ["xy", "xz"]
+        first, second = hsic_estimates(*args), hsic_estimates(*args)
+        assert [blocks for blocks, _ in calls] == [[True] * 3] * 2
+        assert first[1] == second[1]
+        for a, b in zip(first[0], second[0]):
             assert a.value == b.value
             assert a.h_vector.tobytes() == b.h_vector.tobytes()
 
-    def test_same_rows_twice_in_one_call(self, rng):
+    def test_one_sample_at_two_indices_equals_two_copies(self, rng, monkeypatch):
         from reldep.hsic import hsic_estimates
-        from reldep.kernels import kernel_rows
 
         s = Sample(rng.standard_normal((300, 2)))
-        rows, fresh = kernel_rows(s, KernelSpec()), kernel_rows(s, KernelSpec())
-        fresh.kept.clear()
-        twice = hsic_estimates([rows, rows], [(0, 1)], ["xx"])[0]
-        formed = hsic_estimates([fresh, fresh], [(0, 1)], ["xx"])[0]
-        assert twice.value == formed.value
-        assert twice.h_vector.tobytes() == formed.h_vector.tobytes()
+        calls = spy_reductions(monkeypatch)
+        args = [KernelSpec()] * 2, [(0, 1)], ["xx"]
+        (twice,), _ = hsic_estimates([s, s], *args)
+        (copies,), _ = hsic_estimates([s, Sample(s.data.copy())], *args)
+        assert [blocks for blocks, _ in calls] == [[True] * 2] * 2
+        assert twice.value == copies.value
+        assert twice.h_vector.tobytes() == copies.h_vector.tobytes()
 
     def test_forced_bracket_miss_reads_the_kept_tiles(self, rng, monkeypatch):
         m = 500
@@ -498,20 +548,20 @@ class TestKeptDistanceTiles:
         select, kept_at_select = _backend._select_in_bracket, []
 
         def spy(v, *args):
-            kept_at_select.append(bool(v.kept))
+            kept_at_select.append(v.block is not None)
             return select(v, *args)
 
         monkeypatch.setattr(_backend, "_sample_bracket", lambda *args: miss)
         monkeypatch.setattr(_backend, "_select_in_bracket", spy)
-        rows = _backend.distance_rows(x)
+        rows = kept_rows(x)
         assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
         assert kept_at_select == [True, True, True]
 
     def test_bracket_sample_reads_pool_values(self, rng):
         x = rng.standard_normal((300, 2))
-        rows = _backend.distance_rows(x)
-        _backend._keep_distance_tiles(rows)
+        rows = kept_rows(x)
         n = 300 * 299 // 2
+        _backend.sq_distance_order_stats(rows, 0, 0)  # forms the block
         lo, hi = _backend._sample_bracket(rows, n // 2 - 1, n // 2)
         pool = _backend.pairwise_sq_dists(x)
         assert lo in pool and hi in pool
@@ -519,13 +569,7 @@ class TestKeptDistanceTiles:
     def test_kept_tiles_stay_within_keep_bytes(self, rng, monkeypatch):
         m = 500
         j = curve_sample(rng, m)
-        reductions, carried = _backend.hsic_h_reductions, []
-
-        def spy(*variables, pairs):
-            carried.append(sum(v.kept[0].nbytes for v in variables if v.kept))
-            return reductions(*variables, pairs=pairs)
-
-        monkeypatch.setattr(_backend, "hsic_h_reductions", spy)
+        calls = spy_reductions(monkeypatch)
         peaks = []
         for keep_bytes in (_backend.KEEP_BYTES, 0):
             monkeypatch.setattr(_backend, "KEEP_BYTES", keep_bytes)
@@ -537,9 +581,37 @@ class TestKeptDistanceTiles:
             finally:
                 tracemalloc.stop()
         keep_bytes = 8 << 20
-        assert carried[0] == 3 * block_bytes(m) <= keep_bytes
-        assert carried[2] == 0
+        # Three blocks off the store's front, and the sweeps' rest of it.
+        assert calls[0] == ([True] * 3, keep_bytes - 3 * block_bytes(m))
+        assert calls[2] == ([False] * 3, None)
         assert peaks[0] - peaks[1] <= keep_bytes
+
+
+# Minor page faults per m=500 dependent test, over 10 calls after 3 warm-ups.
+_FAULT_PROBE = """
+import resource
+from reldep import dependent_test
+from reldep.synthbench import SynthConfig, sample_synthetic
+j = sample_synthetic(SynthConfig(m=500, seed=3))
+for _ in range(3):
+    dependent_test(j)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    dependent_test(j)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator on Linux")
+def test_repeated_dependent_tests_take_few_page_faults():
+    # One store per call is one allocation that the allocator reuses from
+    # call to call, so the kept tiles' pages are not faulted in anew.
+    src = str(Path(reldep.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 100
 
 
 def parent_tile(v, i0, i1, j0, j1, out, work, fill=0.0):

@@ -94,7 +94,7 @@ class TestUnbiasedEstimator:
 
 
 class TestPublicEntryPoint:
-    """``hsic_estimate`` is ``row_count``, ``kernel_rows`` and ``hsic_estimates``."""
+    """``hsic_estimate`` is ``hsic_estimates`` of two samples."""
 
     SPECS = [(KernelSpec(), KernelSpec()), (KernelSpec(bandwidth=0.7), KernelSpec()),
              (LINEAR, KernelSpec(bandwidth=1.1)), (LINEAR, LINEAR)]
@@ -103,11 +103,12 @@ class TestPublicEntryPoint:
     def test_equals_the_streamed_estimate_bitwise(self, rng, specs):
         x, y = random_pair(rng, 300)
         got = hsic_estimate(x, y, *specs)
-        rows = [kernel_rows(s, spec) for s, spec in zip((x, y), specs)]
-        (want,) = hsic_estimates(rows, [(0, 1)], ["XY"])
+        (want,), infos = hsic_estimates([x, y], specs, [(0, 1)], ["XY"])
         assert got.value.hex() == want.value.hex() and got.m == want.m == 300
         assert got.h_vector.tobytes() == want.h_vector.tobytes()
-        assert got.kernel_info == {"x": kernel_info(rows[0]), "y": kernel_info(rows[1])}
+        rows = [kernel_rows(s, spec) for s, spec in zip((x, y), specs)]
+        assert got.kernel_info == {"x": infos[0], "y": infos[1]}
+        assert infos == [kernel_info(r) for r in rows]
 
     @pytest.mark.parametrize("specs", SPECS)
     def test_one_median_pass_per_median_variable(self, rng, monkeypatch, specs):

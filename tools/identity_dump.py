@@ -8,9 +8,10 @@
 The dump imports ``reldep`` from ``<tree>/src`` and prints one line per
 result: the float.hex of the dependent test, the split test (plain and
 shuffled), the joint summary over 2, 3 and 5 pairs and the generalized
-test on each summary, over 120 seeds at m in {20, 23, 120, 400} and 5
-seeds at m = 1000, whose tiles no longer all fit the keep budget, with the
-default kernels and with linear-x/bandwidth-y.  Two cases with a user
+test on each summary, over 120 seeds at m in {20, 23, 120, 400}, 3 seeds
+at m = 700, where a dependent test's three median blocks still fit the
+keep budget, and 5 seeds at m = 1000, whose tiles no longer all fit it,
+with the default kernels and with linear-x/bandwidth-y.  Two cases with a user
 bandwidth on x follow: near-duplicate rows far from the origin, whose raw
 squared distances go below zero, and rows scaled by 2^-520, whose
 products fall below the normal range.  Then come the tests of 3 seeds
@@ -43,7 +44,9 @@ import numpy as np
 
 SEEDS = range(120)
 SIZES = (20, 23, 120, 400)
-# m = 1000 has tiles that are recomputed instead of kept (_backend.KEEP_BYTES).
+# m = 700 keeps every median block of a test; m = 1000 has tiles that are
+# recomputed instead of kept (_backend.KEEP_BYTES).
+MID_M, MID_SEEDS = 700, range(3)
 LARGE_M, LARGE_SEEDS = 1000, range(5)
 PAIR_SETS = (
     ((0, 1), (0, 2)),
@@ -83,7 +86,7 @@ def dump_results(reldep, out):
     }
     samples = [(f"m{m}-s{seed}", sample_synthetic(
         SynthConfig(m=m, gamma3=0.3 + 0.2 * (seed % 8), seed=seed)))
-        for m, seeds in [*((m, SEEDS) for m in SIZES), (LARGE_M, LARGE_SEEDS)]
+        for m, seeds in [*((m, SEEDS) for m in SIZES), (MID_M, MID_SEEDS), (LARGE_M, LARGE_SEEDS)]
         for seed in seeds]
     j = samples[0][1]
     dup = reldep.Sample(j.x.data[[0, 1, 2, 0, 3, 1, 4, 5, 6, 7, 8, 2, 9, 10]], "dup")
