@@ -16,13 +16,13 @@ map, the dense fill and on the selected order statistics.  That changes
 no bit, as max(., 0) is monotone.  Memory is the O(m d) rows plus a few
 tiles at any width d, and one estimate call's store of ``KEEP_BYTES``:
 each median pass keeps its variable's padded upper distance tiles in a
-block off the store's front while one fits, for its sweeps too, and the
-first sweep keeps other tiles for the second in the rest.  A kept tile has
-the bits of one formed anew.  The dense fill ``fill_square`` writes the
-same tiles into one m x m matrix from ``square_buffer``, which refuses
-sizes that cannot fit in physical memory.  No estimator reads it: it and
-``pairwise_sq_dists`` stay only as the tile tests' bit-exact references
-while the benchmark's tracer still names them.
+block off the store's front while one fits, for its sweeps too, and each
+other variable keeps its first tiles, laid out alike, in an equal share of
+the rest.  A kept tile has the bits of one formed anew.  The dense fill
+``fill_square`` writes the same tiles into one m x m matrix from
+``square_buffer``, which refuses sizes that cannot fit in physical memory.
+No estimator reads it: it and ``pairwise_sq_dists`` stay only as the tile
+tests' bit-exact references while the benchmark's tracer still names them.
 """
 
 import os
@@ -40,9 +40,9 @@ TILE = 256
 
 # Bytes of tiles one estimate call keeps instead of recomputing, in one
 # store: the median passes' blocks of distance tiles off its front while
-# one fits, and what hsic_h_reductions keeps from its first sweep for its
-# second in the rest.  A kept tile has the same bits as a recomputed one,
-# so this changes time, never results; 0 turns keeping off.
+# one fits, and each other variable's first tiles in an equal share of the
+# rest.  A kept tile has the same bits as a recomputed one, so this
+# changes time, never results; 0 turns keeping off.
 KEEP_BYTES = 8 << 20
 
 
@@ -156,23 +156,23 @@ def _layout(m: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, padded
 
 
-def _kept_tiles(m: int, block: np.ndarray):
-    """((i0, i1, j0, j1), padded tile) of a kept block, in ``_tiles`` order."""
+def _kept_tiles(m: int, region: np.ndarray):
+    """Padded tiles in ``_tiles`` order, placed by ``_layout``, while they fit in ``region``."""
     starts, padded = _layout(m)
-    for i0, i1, j0, j1 in _tiles(m):
+    for i0, _, j0, _ in _tiles(m):
         h, w = padded[i0 // TILE], padded[j0 // TILE]
         at = starts[i0 // TILE, j0 // TILE]
-        yield (i0, i1, j0, j1), block[at : at + h * w].reshape(h, w)
+        if at + h * w > region.size:
+            return
+        yield region[at : at + h * w].reshape(h, w)
 
 
 @lru_cache(maxsize=16)
-def _triangles(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only h x h masks of the strict upper triangle and of the rest."""
+def _triangles(h: int) -> np.ndarray:
+    """Read-only h x h mask of all but the strict upper triangle."""
     rest = np.tri(h, h, 0, dtype=bool)
-    upper = ~rest
-    for mask in (upper, rest):
-        mask.setflags(write=False)
-    return upper, rest
+    rest.setflags(write=False)
+    return rest
 
 
 def _kernel_tile(v: TileRows, i0, i1, j0, j1, out, work, fill=0.0) -> np.ndarray:
@@ -223,7 +223,7 @@ def _mapped(v: TileRows, blk: np.ndarray, h: int, w: int, diagonal: bool, fill=0
         np.exp(blk, out=blk)
     tile = blk[:h, :w]
     if diagonal:
-        np.copyto(tile, fill, where=_triangles(h)[1])
+        np.copyto(tile, fill, where=_triangles(h))
     return tile
 
 
@@ -303,7 +303,7 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     """
     if v.block is not None:
         work = np.empty(TILE * TILE)
-        for (i0, i1, j0, j1), blk in _kept_tiles(v.m, v.block):
+        for (i0, i1, j0, j1), blk in zip(_tiles(v.m), _kept_tiles(v.m, v.block)):
             _kernel_tile(v, i0, i1, j0, j1, blk.reshape(-1), work, fill=np.nan)
             blk[i1 - i0 :] = blk[:, j1 - j0 :] = np.nan
     for attempt in range(2):
@@ -420,7 +420,7 @@ def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
     return tuple(max(float(lo if r < 0 else pool[r] if r < pool.size else hi), 0.0) for r in ranks)
 
 
-def hsic_h_reductions(*variables: TileRows, pairs, store: np.ndarray | None = None):
+def hsic_h_reductions(*variables: TileRows, pairs, store: np.ndarray):
     """O(m) reductions of the zero-diagonal Grams of ``variables``, from tiles.
 
     ``pairs`` lists (a, b) index pairs into ``variables``, with K and L the
@@ -434,14 +434,13 @@ def hsic_h_reductions(*variables: TileRows, pairs, store: np.ndarray | None = No
     row sums to rows I and its column sums to rows J, and the same for the
     products of the paired tiles.  The second adds K_IJ times the partners'
     row sums of J to rows I and K_IJ' times those of I to rows J, one
-    matrix product per variable.  A variable's formed ``block`` is used
-    up here: the first sweep maps its tiles in place and the second reads
-    them, so rows with a block are passed once.  Other tiles of the first
-    sweep are kept for the second in ``store`` (the rest of the call's
-    store after the blocks, or a ``KEEP_BYTES`` one of its own) while they
-    fit, else formed again.  An input that overflows (a linear kernel on
-    huge data) gives inf or nan here, without a warning, for the
-    estimator's finiteness check to refuse.
+    matrix product per variable.  It reads each variable's kept padded
+    tiles and forms the others again: all those of a formed ``block``,
+    which the first sweep maps in place (so rows with a block are passed
+    once), else those an equal share of ``store`` has room for
+    (``_kept_tiles``), which the first sweep forms there.  An input that
+    overflows (a linear kernel on huge data) gives inf or nan here, without
+    a warning, for the estimator's finiteness check to refuse.
     """
     n, m = len(variables), variables[0].m
     partners = [sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v})
@@ -449,28 +448,26 @@ def hsic_h_reductions(*variables: TileRows, pairs, store: np.ndarray | None = No
     row_sums = np.zeros((n, m))
     kl_rows = np.zeros((len(pairs), m))
     work, ones = np.empty(TILE * TILE), np.ones(TILE)
-    own = [None if v.block is None else _kept_tiles(m, v.block) for v in variables]
-    fresh = own.count(None)
-    if store is None:
-        store = np.empty(KEEP_BYTES // 8)
-    used, kept, outs = 0, [], None
+    share = store.size // max(1, sum(v.block is None for v in variables))
+    kept, outs = [], None
+    for v in variables:
+        region = v.block
+        if region is None:
+            region, store = store[:share], store[share:]
+        kept.append(list(_kept_tiles(m, region)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, i1, j0, j1 in _tiles(m):
+        for t, (i0, i1, j0, j1) in enumerate(_tiles(m)):
             h, w = i1 - i0, j1 - j0
-            size = (h + -h % 8) * (w + -w % 8)  # one padded tile
-            keep = used + fresh * size <= store.size
-            if not keep and outs is None:
-                outs = np.empty((n, TILE * TILE))
             tiles = []
-            for v, tiles_v in zip(variables, own):
-                if tiles_v is not None:
-                    tiles.append(_mapped(v, next(tiles_v)[1], h, w, i0 == j0))
-                    continue
-                buf = store[used : used + size] if keep else outs[len(tiles)]
-                used += size if keep else 0
-                tiles.append(_kernel_tile(v, i0, i1, j0, j1, buf, work))
-            kept.append([t if keep or o is not None else None for t, o in zip(tiles, own)])
+            for v, tiles_v in zip(variables, kept):
+                if t >= len(tiles_v):
+                    outs = np.empty((n, TILE * TILE)) if outs is None else outs
+                    tiles.append(_kernel_tile(v, i0, i1, j0, j1, outs[len(tiles)], work))
+                elif v.block is not None:
+                    tiles.append(_mapped(v, tiles_v[t], h, w, i0 == j0))
+                else:
+                    tiles.append(_kernel_tile(v, i0, i1, j0, j1, tiles_v[t].reshape(-1), work))
             for v, tile in enumerate(tiles):
                 row_sums[v, i0:i1] += tile @ ones[:w]
                 row_sums[v, j0:j1] += ones[:h] @ tile
@@ -481,10 +478,10 @@ def hsic_h_reductions(*variables: TileRows, pairs, store: np.ndarray | None = No
 
         sums = [np.ascontiguousarray(row_sums[ps].T) for ps in partners]
         products = [np.zeros((m, len(ps))) for ps in partners]
-        for (i0, i1, j0, j1), tiles in zip(_tiles(m), kept):
-            for v, tile in enumerate(tiles):
-                if tile is None:
-                    tile = _kernel_tile(variables[v], i0, i1, j0, j1, outs[v], work)
+        for t, (i0, i1, j0, j1) in enumerate(_tiles(m)):
+            for v, tiles_v in enumerate(kept):
+                tile = (tiles_v[t][: i1 - i0, : j1 - j0] if t < len(tiles_v)
+                        else _kernel_tile(variables[v], i0, i1, j0, j1, outs[v], work))
                 products[v][i0:i1] += tile @ sums[v][j0:j1]
                 products[v][j0:j1] += tile.T @ sums[v][i0:i1]
 

@@ -107,12 +107,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
         return sum(parts)
 
 
-def _check_m(m: int) -> int:
-    if m < 4:
-        raise PreconditionError(f"unbiased HSIC needs m >= 4, got {m}")
-    return m
-
-
 def _from_reductions(m, k_row, l_row, kl_row, k_lrow, l_krow, pair_label) -> HsicEstimate:
     """The unbiased value and h-vector from the O(m) reductions of one pair.
 
@@ -154,11 +148,12 @@ def hsic_estimates(
 
     Each sample's kernel is resolved from its spec (``kernel_rows``), and
     all pairs' estimates come from one ``hsic_h_reductions``, with no m x m
-    matrix.  The call keeps tiles in one ``KEEP_BYTES`` store, made here
-    when a median block can fit it: each median pass takes its block of
-    distance tiles off the front while one fits, and the sweeps keep tiles
-    in the rest.  ``labels`` name the pairs in overflow errors.  Returns
-    the estimates and each sample's ``kernel_info``.
+    matrix.  The call owns its one ``KEEP_BYTES`` store of kept tiles, made
+    up front when a median block can fit it (each median pass takes its
+    block off the front while one fits), else just before the sweeps, which
+    share what is left among the samples without a block.  ``labels`` name
+    the pairs in overflow errors.  Returns the estimates and each sample's
+    ``kernel_info``.
     """
     m = row_count(samples)
     keep = _backend.KEEP_BYTES // 8
@@ -168,7 +163,9 @@ def hsic_estimates(
         rows.append(kernel_rows(s, spec, store))
         if rows[-1].block is not None:
             store = store[rows[-1].block.size :]
-    _check_m(m)
+    if m < 4:
+        raise PreconditionError(f"unbiased HSIC needs m >= 4, got {m}")
+    store = np.empty(keep) if store is None else store
     row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs, store=store)
     estimates = [
         _from_reductions(m, row_sums[a], row_sums[b], *sums, label)

@@ -126,6 +126,8 @@ def _run_trials(worker: Callable, cfgs: list, jobs: int) -> list:
     """
     if not cfgs:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(cfgs), cpus or 1)
     if workers <= 1:

@@ -396,13 +396,15 @@ class TestStreamedReductions:
         pairs = [(0, 1), (0, 2), (2, 1)]
         rows = [kernel_rows(s, spec) for s, spec in zip(samples, specs)]
         grams = [build_zero_diag_gram(s, spec) for s, spec in zip(samples, specs)]
-        row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs)
-        for got, g in zip(row_sums, grams):
-            assert np.allclose(got, g.sum(axis=1), rtol=1e-13, atol=0)
-        for (a, b), got in zip(pairs, per_pair):
-            for streamed, dense in zip(got, dense_reductions(grams[a], grams[b])):
-                scale = np.abs(dense).max()
-                assert np.allclose(streamed, dense, rtol=0, atol=1e-13 * scale)
+        # Tiles kept in the store's shares, and all formed again.
+        for store in (np.empty(_backend.KEEP_BYTES // 8), np.empty(0)):
+            row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs, store=store)
+            for got, g in zip(row_sums, grams):
+                assert np.allclose(got, g.sum(axis=1), rtol=1e-13, atol=0)
+            for (a, b), got in zip(pairs, per_pair):
+                for streamed, dense in zip(got, dense_reductions(grams[a], grams[b])):
+                    scale = np.abs(dense).max()
+                    assert np.allclose(streamed, dense, rtol=0, atol=1e-13 * scale)
 
     def test_kept_tiles_change_no_bit(self, rng, monkeypatch):
         m = 1000
@@ -446,9 +448,8 @@ def spy_reductions(monkeypatch):
     """Per ``hsic_h_reductions`` call: which variables carry a block, and the store's bytes."""
     reductions, calls = _backend.hsic_h_reductions, []
 
-    def spy(*variables, pairs, store=None):
-        blocks = [v.block is not None for v in variables]
-        calls.append((blocks, None if store is None else store.nbytes))
+    def spy(*variables, pairs, store):
+        calls.append(([v.block is not None for v in variables], store.nbytes))
         return reductions(*variables, pairs=pairs, store=store)
 
     monkeypatch.setattr(_backend, "hsic_h_reductions", spy)
@@ -513,6 +514,35 @@ class TestKeptDistanceTiles:
         assert calls[0] == (blocks, keep_bytes - sum(blocks) * block_bytes(m))
         monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
         assert self.results(j) == edge
+
+    # m = 600 has six upper tiles in _tiles order: (0, 0) and (0, 1) of
+    # 256 x 256, (0, 2) of 256 x 88, (1, 1), (1, 2) and (2, 2).  Three
+    # fixed-bandwidth variables form no block, so each gets a third of the
+    # store, which here ends at the end of (0, 2), or 8 bytes either side.
+    @pytest.mark.parametrize("spare", [0, -8, 8])
+    def test_share_edge_bitwise(self, rng, monkeypatch, spare):
+        from reldep.hsic import hsic_estimates
+
+        m, share = 600, 8 * (2 * TILE * TILE + TILE * 88)
+        specs = [KernelSpec(bandwidth=b) for b in (1.0, 1.5, 2.0)]
+        args = curve_sample(rng, m).samples, specs, [(0, 1), (0, 2), (1, 2)], ["xy", "xz", "yz"]
+        kernel_tile, formed = _backend._kernel_tile, []
+
+        def spy(*args, **kwargs):
+            formed.append(args[1:5])
+            return kernel_tile(*args, **kwargs)
+
+        monkeypatch.setattr(_backend, "_kernel_tile", spy)
+        results = []
+        for keep_bytes in (3 * (share + spare), 0):
+            monkeypatch.setattr(_backend, "KEEP_BYTES", keep_bytes)
+            formed.clear()
+            estimates, infos = hsic_estimates(*args)
+            results.append([(e.value.hex(), e.h_vector.tobytes()) for e in estimates] + infos)
+            # Sweep 1 forms all 3 x 6 tiles; sweep 2 forms those not kept.
+            kept = 0 if keep_bytes == 0 else 3 if spare >= 0 else 2
+            assert len(formed) - 3 * 6 == 3 * (6 - kept)
+        assert results[0] == results[1]
 
     def test_same_samples_in_two_calls_give_the_same_bytes(self, rng, monkeypatch):
         from reldep.hsic import hsic_estimates
@@ -581,9 +611,10 @@ class TestKeptDistanceTiles:
             finally:
                 tracemalloc.stop()
         keep_bytes = 8 << 20
-        # Three blocks off the store's front, and the sweeps' rest of it.
+        # Three blocks off the store's front, and the sweeps' rest of it; at
+        # KEEP_BYTES = 0 no block and an empty store.
         assert calls[0] == ([True] * 3, keep_bytes - 3 * block_bytes(m))
-        assert calls[2] == ([False] * 3, None)
+        assert calls[2] == ([False] * 3, 0)
         assert peaks[0] - peaks[1] <= keep_bytes
 
 
@@ -709,7 +740,7 @@ class TestNearDuplicatesFarFromOrigin:
             tile = _backend._kernel_tile(g, i0, i1, j0, j1, out, work)
             expect = want[i0:i1, j0:j1]
             if i0 == j0:
-                upper = _backend._triangles(i1 - i0)[0]
+                upper = ~_backend._triangles(i1 - i0)
                 tile, expect = tile[upper], expect[upper]
             assert np.array_equal(tile, expect)
 

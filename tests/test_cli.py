@@ -333,6 +333,13 @@ class TestExperimentCommands:
         assert capsys.readouterr().out == first_out
         assert (tmp_path / "power_64_9.csv").read_bytes() == first_csv
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_calibrate_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        argv = ["calibrate", "--m", "20", "--trials", "2", "--jobs", jobs, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_calibrate(self, tmp_path, capsys):
         code = main(
             ["calibrate", "--m", "64", "--trials", "5", "--seed", "2", "--out", str(tmp_path)]

@@ -139,6 +139,11 @@ class TestCalibration:
         with pytest.raises(ValueError, match="trials"):
             calibration(SynthConfig(m=64, seed=1), trials=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            calibration(SynthConfig(m=20, seed=1), trials=2, jobs=jobs)
+
     def test_rate_is_a_rate(self):
         rate = calibration(SynthConfig(m=64, seed=1), trials=8)
         assert 0.0 <= rate <= 1.0

@@ -10,7 +10,10 @@ summarised per tree as median and quartiles, with the number of pairs the
 change won (ties count for neither).  So is the raw, unbounded
 ``trials_per_s`` of each run's ``.bench_out`` record, under
 ``trials_per_s``: it follows the host's speed, but it is the Monte-Carlo
-throughput itself.  ``--trace 1`` runs on the trace seeds give per-layer
+throughput itself.  So are the medians of each run's own op times, under
+``op_ms``, and of the reference's op times on the same inputs, under
+``ref_ms``: a move of a ``latency_vs_ref`` ratio splits into reldep's time
+and the reference's.  ``--trace 1`` runs on the trace seeds give per-layer
 medians of the backend kernels; they alternate the trees per seed too, so
 host drift does not read as a layer change.  The environment stamp is the
 change's first run's.  A run that fails its reference check or exits
@@ -25,6 +28,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("dep-m3200", "power-m500", "groups-m1000")
+RAW = ("trials_per_s", "op_ms", "ref_ms")
 LAYERS = tuple(
     f"backend.{fn}.{field}"
     for fn in ("sq_distance_order_stats", "hsic_h_reductions")
@@ -47,7 +51,10 @@ def run(tree, workload, seed, trace):
     record = Path(tree) / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
     record = json.loads(record.read_text())
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
-    return metrics, record["raw"].get("trials_per_s", {}).get("value"), record["env"]
+    raw = {"trials_per_s": record["raw"].get("trials_per_s", {}).get("value"),
+           **{k: statistics.median(record[k].values()) if record[k] else None
+              for k in ("op_ms", "ref_ms")}}  # a traced run times no reference
+    return metrics, raw, record["env"]
 
 
 def paired_order(i):
@@ -71,14 +78,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     trees = {"base": args.base, "change": args.change}
     out = {"env": None, "seeds": args.seeds, "trace_seeds": args.trace_seeds,
-           "end_to_end": {}, "trials_per_s": {}, "layers": {}}
+           "end_to_end": {}, **{k: {} for k in RAW}, "layers": {}}
     for workload in args.workloads:
-        runs, trials = {"base": [], "change": []}, {"base": [], "change": []}
+        runs, raws = {"base": [], "change": []}, {"base": [], "change": []}
         for i, seed in enumerate(args.seeds):
             for side in paired_order(i):
-                metrics, trials_per_s, env = run(trees[side], workload, seed, 0)
+                metrics, raw, env = run(trees[side], workload, seed, 0)
                 runs[side].append(metrics)
-                trials[side].append(trials_per_s)
+                raws[side].append(raw)
                 if side == "change" and out["env"] is None:
                     out["env"] = env
                 print(workload, seed, side, metrics, file=sys.stderr, flush=True)
@@ -93,7 +100,8 @@ def main(argv=None):
                 "pairs": len(base),
             }
         out["end_to_end"][workload] = summary
-        out["trials_per_s"][workload] = {side: quartiles(t) for side, t in trials.items()}
+        for k in RAW:
+            out[k][workload] = {side: quartiles([r[k] for r in rs]) for side, rs in raws.items()}
         traced = {"base": [], "change": []}
         for i, seed in enumerate(args.trace_seeds):
             for side in paired_order(i):
