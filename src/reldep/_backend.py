@@ -16,13 +16,14 @@ map, the dense fill and on the selected order statistics.  That changes
 no bit, as max(., 0) is monotone.  Memory is the O(m d) rows plus a few
 tiles at any width d, and one estimate call's store of ``KEEP_BYTES``:
 each median pass keeps its variable's padded upper distance tiles in a
-block off the store's front while one fits, for its sweeps too, and each
-other variable keeps its first tiles, laid out alike, in an equal share of
-the rest.  A kept tile has the bits of one formed anew.  The dense fill
-``fill_square`` writes the same tiles into one m x m matrix from
-``square_buffer``, which refuses sizes that cannot fit in physical memory.
-No estimator reads it: it and ``pairwise_sq_dists`` stay only as the tile
-tests' bit-exact references while the benchmark's tracer still names them.
+block off the store's front while one fits, and each other variable read
+in more than one reduction pass keeps its first tiles, laid out alike, in
+an equal share of the rest.  A kept tile has the bits of one formed anew.
+The dense fill ``fill_square`` writes the same tiles into one m x m
+matrix from ``square_buffer``, which refuses sizes that cannot fit in
+physical memory.  No estimator reads it: it and ``pairwise_sq_dists`` stay
+only as the tile tests' bit-exact references while the benchmark's tracer
+still names them.
 """
 
 import os
@@ -40,9 +41,9 @@ TILE = 256
 
 # Bytes of tiles one estimate call keeps instead of recomputing, in one
 # store: the median passes' blocks of distance tiles off its front while
-# one fits, and each other variable's first tiles in an equal share of the
-# rest.  A kept tile has the same bits as a recomputed one, so this
-# changes time, never results; 0 turns keeping off.
+# one fits, and the first tiles of each other variable read in more than
+# one reduction pass in an equal share of the rest.  Kept tiles have the
+# bits of recomputed ones, so this changes time, never results; 0 is off.
 KEEP_BYTES = 8 << 20
 
 
@@ -378,12 +379,23 @@ def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[fl
     gap = int(2.5 * size**0.5) + 1
     lo_rank = k1 * size // n - gap
     hi_rank = (k2 + 1) * size // n + gap
-    ranks = [r for r in (lo_rank, hi_rank) if 0 <= r < size]
-    if ranks:
-        sample.partition(ranks)
+    _select(sample, (lo_rank, hi_rank))
     lo = sample[lo_rank] if lo_rank >= 0 else -np.inf
     hi = sample[hi_rank] if hi_rank < size else np.inf
     return float(lo), float(hi)
+
+
+def _select(a: np.ndarray, ranks) -> None:
+    """Partition ``a`` in place so that ``a[r]`` is its r-th smallest, for ascending ``ranks``.
+
+    Ranks outside ``a`` are skipped.  One ``partition`` per rank: NumPy 2.4
+    selects several ranks in one call several times slower.
+    """
+    start = 0
+    for r in ranks:
+        if start <= r < a.size:  # an equal rank is already in place
+            a[start:].partition(r - start)
+            start = r + 1
 
 
 def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
@@ -414,9 +426,7 @@ def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
     if not (below <= k1 or lo <= 0.0) or not k1 <= k2 < below + pool.size + at_edges:
         return None
     ranks = [k - below - at_lo for k in (k1, k2)]
-    within = sorted({r for r in ranks if 0 <= r < pool.size})
-    if within:
-        pool.partition(within)
+    _select(pool, ranks)
     return tuple(max(float(lo if r < 0 else pool[r] if r < pool.size else hi), 0.0) for r in ranks)
 
 
@@ -430,60 +440,64 @@ def hsic_h_reductions(*variables: TileRows, pairs, store: np.ndarray):
     ``k_lrow = K @ l_row`` and ``l_krow = L @ k_row``.  The unbiased
     estimator and its h-vector are O(m) functions of these vectors.
 
-    The first sweep over the upper tiles (I, J) adds each variable's tile
-    row sums to rows I and its column sums to rows J, and the same for the
-    products of the paired tiles.  The second adds K_IJ times the partners'
-    row sums of J to rows I and K_IJ' times those of I to rows J, one
-    matrix product per variable.  It reads each variable's kept padded
-    tiles and forms the others again: all those of a formed ``block``,
-    which the first sweep maps in place (so rows with a block are passed
-    once), else those an equal share of ``store`` has room for
-    (``_kept_tiles``), which the first sweep forms there.  An input that
-    overflows (a linear kernel on huge data) gives inf or nan here, without
-    a warning, for the estimator's finiteness check to refuse.
+    One loop body walks the upper tiles (I, J) in up to three passes.  A
+    variable's first pass adds its tile row sums to rows I and column sums
+    to rows J, pass 1 the same for the products of the paired tiles, and its
+    last pass K_IJ times its partners' row sums of J to rows I and K_IJ'
+    times those of I to rows J.  The hub, the lowest variable in every pair,
+    is read in passes 0-2, each other variable in pass 1 alone; with no hub
+    each is read in passes 1 and 2.  One read more than once keeps tiles for
+    its later passes: its ``block``, which its first pass maps in place, else
+    those an equal share of ``store`` holds (``_kept_tiles``).  Overflow (a
+    linear kernel on huge data) gives inf or nan here, without a warning,
+    for the estimator's finiteness check to refuse.
     """
     n, m = len(variables), variables[0].m
     partners = [sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v})
                 for v in range(n)]
-    row_sums = np.zeros((n, m))
-    kl_rows = np.zeros((len(pairs), m))
+    hub = next((v for v in range(n) if pairs and all(v in pair for pair in pairs)), None)
+    passes = [range(0 if v == hub else 1, 2 if hub not in (None, v) else 3) for v in range(n)]
+    row_sums, kl_rows = np.zeros((n, m)), np.zeros((len(pairs), m))
+    products = [np.zeros((m, len(ps))) for ps in partners]
     work, ones = np.empty(TILE * TILE), np.ones(TILE)
-    share = store.size // max(1, sum(v.block is None for v in variables))
+    shared = [v.block is None and len(r) > 1 for v, r in zip(variables, passes)]
+    share = store.size // max(1, sum(shared))
     kept, outs = [], None
-    for v in variables:
+    for v, more in zip(variables, shared):
         region = v.block
         if region is None:
-            region, store = store[:share], store[share:]
+            region, store = store[: share * more], store[share * more :]
         kept.append(list(_kept_tiles(m, region)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, (i0, i1, j0, j1) in enumerate(_tiles(m)):
-            h, w = i1 - i0, j1 - j0
-            tiles = []
-            for v, tiles_v in zip(variables, kept):
-                if t >= len(tiles_v):
-                    outs = np.empty((n, TILE * TILE)) if outs is None else outs
-                    tiles.append(_kernel_tile(v, i0, i1, j0, j1, outs[len(tiles)], work))
-                elif v.block is not None:
-                    tiles.append(_mapped(v, tiles_v[t], h, w, i0 == j0))
-                else:
-                    tiles.append(_kernel_tile(v, i0, i1, j0, j1, tiles_v[t].reshape(-1), work))
-            for v, tile in enumerate(tiles):
-                row_sums[v, i0:i1] += tile @ ones[:w]
-                row_sums[v, j0:j1] += ones[:h] @ tile
-            for p, (a, b) in enumerate(pairs):
-                both = np.multiply(tiles[a], tiles[b], out=work[: h * w].reshape(h, w))
-                kl_rows[p, i0:i1] += both @ ones[:w]
-                kl_rows[p, j0:j1] += ones[:h] @ both
-
-        sums = [np.ascontiguousarray(row_sums[ps].T) for ps in partners]
-        products = [np.zeros((m, len(ps))) for ps in partners]
-        for t, (i0, i1, j0, j1) in enumerate(_tiles(m)):
-            for v, tiles_v in enumerate(kept):
-                tile = (tiles_v[t][: i1 - i0, : j1 - j0] if t < len(tiles_v)
-                        else _kernel_tile(variables[v], i0, i1, j0, j1, outs[v], work))
-                products[v][i0:i1] += tile @ sums[v][j0:j1]
-                products[v][j0:j1] += tile.T @ sums[v][i0:i1]
+        for p in range(3):
+            reading = [v for v in range(n) if p in passes[v]]
+            sums = {v: np.ascontiguousarray(row_sums[partners[v]].T)
+                    for v in reading if p == passes[v][-1]}
+            for t, (i0, i1, j0, j1) in enumerate(_tiles(m) if reading else ()):
+                h, w = i1 - i0, j1 - j0
+                tiles = {}
+                for v in reading:
+                    rows, first = variables[v], p == passes[v][0]
+                    if t >= len(kept[v]):
+                        outs = np.empty((n, TILE * TILE)) if outs is None else outs
+                        tiles[v] = _kernel_tile(rows, i0, i1, j0, j1, outs[v], work)
+                    elif not first:
+                        tiles[v] = kept[v][t][:h, :w]
+                    elif rows.block is not None:
+                        tiles[v] = _mapped(rows, kept[v][t], h, w, i0 == j0)
+                    else:
+                        tiles[v] = _kernel_tile(rows, i0, i1, j0, j1, kept[v][t].reshape(-1), work)
+                    if first:
+                        row_sums[v, i0:i1] += tiles[v] @ ones[:w]
+                        row_sums[v, j0:j1] += ones[:h] @ tiles[v]
+                    if v in sums:
+                        products[v][i0:i1] += tiles[v] @ sums[v][j0:j1]
+                        products[v][j0:j1] += tiles[v].T @ sums[v][i0:i1]
+                for q, (a, b) in enumerate(pairs if p == 1 else ()):
+                    both = np.multiply(tiles[a], tiles[b], out=work[: h * w].reshape(h, w))
+                    kl_rows[q, i0:i1] += both @ ones[:w]
+                    kl_rows[q, j0:j1] += ones[:h] @ both
 
     per_pair = [
         (kl_rows[p], products[a][:, partners[a].index(b)], products[b][:, partners[b].index(a)])

@@ -150,10 +150,10 @@ def hsic_estimates(
     all pairs' estimates come from one ``hsic_h_reductions``, with no m x m
     matrix.  The call owns its one ``KEEP_BYTES`` store of kept tiles, made
     up front when a median block can fit it (each median pass takes its
-    block off the front while one fits), else just before the sweeps, which
-    share what is left among the samples without a block.  ``labels`` name
-    the pairs in overflow errors.  Returns the estimates and each sample's
-    ``kernel_info``.
+    block off the front while one fits), else just before the reductions,
+    which share the rest among blockless samples they read more than once.
+    ``labels`` name the pairs in overflow errors.  Returns the estimates
+    and each sample's ``kernel_info``.
     """
     m = row_count(samples)
     keep = _backend.KEEP_BYTES // 8

@@ -280,8 +280,8 @@ def independent_test(
 ) -> TestResult:
     """Baseline relative test on two disjoint half samples.
 
-    (x', y') come from one half, (x'', z'') from the other, both from one
-    sweep over the tiles.  Bandwidth heuristics are resolved per half, so
+    (x', y') come from one half, (x'', z'') from the other, both from the
+    same passes over the tiles.  Bandwidth heuristics are resolved per half, so
     the two statistics share nothing at all: the summary's covariance is
     diagonal, and its m is the half size.
     """
@@ -328,8 +328,8 @@ def joint_summary(
     list of aligned samples; ``pairs`` lists (source, target) index pairs.
     ``kernel_specs`` is None (the default kernel for every sample) or one
     spec per sample, such as a ``KernelConfig`` for x, y, z.  Each variable's
-    kernel is resolved once, and every estimate comes from one pair of
-    sweeps over the kernels' tiles (``hsic_estimates``), so no m x m matrix
+    kernel is resolved once, and every estimate comes from the same
+    passes over the kernels' tiles (``hsic_estimates``), so no m x m matrix
     is held.  The covariance is ``covariance_summary`` of the estimates,
     and ``kernel_info`` the resolved kernel of each variable used.
     """

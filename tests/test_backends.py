@@ -1,5 +1,6 @@
 """The O(m^2) kernels in reldep._backend against direct computation."""
 
+import itertools
 import os
 import platform
 import subprocess
@@ -177,6 +178,15 @@ class TestExactSelection:
     def test_wide_rows(self, rng, monkeypatch, m, keep_bytes):
         monkeypatch.setattr(_backend, "KEEP_BYTES", keep_bytes)
         self.check(rng.standard_normal((m, 400)))
+
+    # First, last, equal and adjacent ranks of 1000 values with many ties.
+    @pytest.mark.parametrize("ranks", [(0,), (999,), (0, 999), (5, 5), (498, 499),
+                                       (0, 1, 998, 999)])
+    def test_select_matches_sort(self, rng, ranks):
+        a = rng.integers(0, 7, size=1000).astype(float)
+        want = np.sort(a)
+        _backend._select(a, ranks)
+        assert [a[r] for r in ranks] == [want[r] for r in ranks]
 
     def test_pool_mostly_zeros(self, rng):
         # 100 identical rows: 4950 of the 7140 pairs are at distance 0.
@@ -393,11 +403,14 @@ class TestStreamedReductions:
 
         specs = self.SPECS if family == "gaussian" else self.SPECS[::-1]
         samples = [Sample(rng.standard_normal((m, d)) + 3.0) for d in (1, 2, 3)]
-        pairs = [(0, 1), (0, 2), (2, 1)]
         rows = [kernel_rows(s, spec) for s, spec in zip(samples, specs)]
         grams = [build_zero_diag_gram(s, spec) for s, spec in zip(samples, specs)]
-        # Tiles kept in the store's shares, and all formed again.
-        for store in (np.empty(_backend.KEEP_BYTES // 8), np.empty(0)):
+        # No variable in every pair; stars on 0 and on 1, which the passes
+        # read three times; one pair.  Tiles kept in the store's shares, and
+        # all formed again.
+        pair_sets = ((0, 1), (0, 2), (2, 1)), ((0, 1), (0, 2)), ((1, 0), (1, 2)), ((0, 1),)
+        for pairs, store in itertools.product(
+                pair_sets, (np.empty(_backend.KEEP_BYTES // 8), np.empty(0))):
             row_sums, per_pair = _backend.hsic_h_reductions(*rows, pairs=pairs, store=store)
             for got, g in zip(row_sums, grams):
                 assert np.allclose(got, g.sum(axis=1), rtol=1e-13, atol=0)
@@ -454,6 +467,18 @@ def spy_reductions(monkeypatch):
 
     monkeypatch.setattr(_backend, "hsic_h_reductions", spy)
     return calls
+
+
+def spy_kernel_tiles(monkeypatch):
+    """The (i0, i1, j0, j1) of each tile ``_kernel_tile`` forms."""
+    kernel_tile, formed = _backend._kernel_tile, []
+
+    def spy(*args, **kwargs):
+        formed.append(args[1:5])
+        return kernel_tile(*args, **kwargs)
+
+    monkeypatch.setattr(_backend, "_kernel_tile", spy)
+    return formed
 
 
 def split_result(j):
@@ -526,23 +551,50 @@ class TestKeptDistanceTiles:
         m, share = 600, 8 * (2 * TILE * TILE + TILE * 88)
         specs = [KernelSpec(bandwidth=b) for b in (1.0, 1.5, 2.0)]
         args = curve_sample(rng, m).samples, specs, [(0, 1), (0, 2), (1, 2)], ["xy", "xz", "yz"]
-        kernel_tile, formed = _backend._kernel_tile, []
-
-        def spy(*args, **kwargs):
-            formed.append(args[1:5])
-            return kernel_tile(*args, **kwargs)
-
-        monkeypatch.setattr(_backend, "_kernel_tile", spy)
+        formed = spy_kernel_tiles(monkeypatch)
         results = []
         for keep_bytes in (3 * (share + spare), 0):
             monkeypatch.setattr(_backend, "KEEP_BYTES", keep_bytes)
             formed.clear()
             estimates, infos = hsic_estimates(*args)
             results.append([(e.value.hex(), e.h_vector.tobytes()) for e in estimates] + infos)
-            # Sweep 1 forms all 3 x 6 tiles; sweep 2 forms those not kept.
+            # No variable is in every pair, so pass 1 forms all 3 x 6 tiles
+            # and pass 2 those not kept.
             kept = 0 if keep_bytes == 0 else 3 if spare >= 0 else 2
             assert len(formed) - 3 * 6 == 3 * (6 - kept)
         assert results[0] == results[1]
+
+    # The hub, the variable in every pair, is formed in passes 0, 1 and 2,
+    # each other variable in pass 1 alone; with no hub each is formed twice.
+    @pytest.mark.parametrize("pairs, formed", [
+        (((0, 1), (0, 2)), 3 * 6 + 2 * 6), (((1, 0), (1, 2)), 3 * 6 + 2 * 6),
+        (((0, 1), (0, 2), (1, 2)), 3 * 2 * 6),
+    ])
+    def test_hub_forms_its_targets_once(self, rng, monkeypatch, pairs, formed):
+        from reldep.hsic import hsic_estimates
+
+        specs = [KernelSpec(bandwidth=b) for b in (1.0, 1.5, 2.0)]
+        samples = curve_sample(rng, 600).samples
+        calls = spy_kernel_tiles(monkeypatch)
+        monkeypatch.setattr(_backend, "KEEP_BYTES", 0)
+        hsic_estimates(samples, specs, pairs, [str(p) for p in pairs])
+        assert len(calls) == formed
+
+    # Median kernels with blocks, and fixed bandwidths at m = 1000, whose
+    # hub keeps only part of its tiles in the store.
+    @pytest.mark.parametrize("m, bandwidths", [(300, None), (1000, (1.0, 1.5, 2.0))])
+    def test_hub_index_changes_no_bit(self, rng, m, bandwidths):
+        from reldep.hsic import hsic_estimates
+
+        x, y, z = curve_sample(rng, m).samples
+        specs = [KernelSpec(bandwidth=b) for b in bandwidths or (None,) * 3]
+        first = hsic_estimates([x, y, z], specs, [(0, 1), (0, 2)], ["xy", "xz"])
+        second = hsic_estimates([y, x, z], [specs[1], specs[0], specs[2]],
+                                [(1, 0), (1, 2)], ["xy", "xz"])
+        assert [first[1][i] for i in (1, 0, 2)] == second[1]
+        for a, b in zip(first[0], second[0]):
+            assert a.value.hex() == b.value.hex()
+            assert a.h_vector.tobytes() == b.h_vector.tobytes()
 
     def test_same_samples_in_two_calls_give_the_same_bytes(self, rng, monkeypatch):
         from reldep.hsic import hsic_estimates
@@ -611,7 +663,7 @@ class TestKeptDistanceTiles:
             finally:
                 tracemalloc.stop()
         keep_bytes = 8 << 20
-        # Three blocks off the store's front, and the sweeps' rest of it; at
+        # Three blocks off the store's front, and the reductions' rest of it; at
         # KEEP_BYTES = 0 no block and an empty store.
         assert calls[0] == ([True] * 3, keep_bytes - 3 * block_bytes(m))
         assert calls[2] == ([False] * 3, 0)

@@ -7,10 +7,11 @@
 
 The dump imports ``reldep`` from ``<tree>/src`` and prints one line per
 result: the float.hex of the dependent test, the split test (plain and
-shuffled), the joint summary over 2, 3 and 5 pairs and the generalized
-test on each summary, over 120 seeds at m in {20, 23, 120, 400}, 3 seeds
-at m = 700, where a dependent test's three median blocks still fit the
-keep budget, and 5 seeds at m = 1000, whose tiles no longer all fit it,
+shuffled), the joint summary over 2, 3 and 5 pairs and over the two-pair
+star (1, 0), (1, 2), whose shared variable is not the first, and the
+generalized test on each summary, over 120 seeds at m in
+{20, 23, 120, 400}, 3 seeds at m = 700, where a dependent test's three
+median blocks still fit the keep budget, and 5 seeds at m = 1000, whose tiles no longer all fit it,
 with the default kernels and with linear-x/bandwidth-y.  Two cases with a user
 bandwidth on x follow: near-duplicate rows far from the origin, whose raw
 squared distances go below zero, and rows scaled by 2^-520, whose
@@ -50,6 +51,7 @@ MID_M, MID_SEEDS = 700, range(3)
 LARGE_M, LARGE_SEEDS = 1000, range(5)
 PAIR_SETS = (
     ((0, 1), (0, 2)),
+    ((1, 0), (1, 2)),
     ((0, 1), (0, 2), (1, 2)),
     ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0)),
 )
@@ -96,7 +98,7 @@ def dump_results(reldep, out):
             key = f"{name}|{cname}"
             dump_tests(reldep, key, j, cfg, out)
             for pairs in PAIR_SETS:
-                pkey = f"{key}|{len(pairs)}"
+                pkey = f"{key}|{','.join(f'{a}-{b}' for a, b in pairs)}"
                 summary = reldep.joint_summary(j, pairs, cfg)
                 print(f"joint|{pkey}|means={_hex(summary.means)}"
                       f" cov={_hex(summary.covariance.ravel())}", file=out)
