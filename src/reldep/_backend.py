@@ -215,16 +215,21 @@ def _mapped(v: TileRows, blk: np.ndarray, h: int, w: int, diagonal: bool, fill=0
 
     Gaussian rows map the whole padded block through
     exp(-max(d2, 0) / (2 sigma^2)); a diagonal tile is then set to ``fill``
-    outside its strict upper triangle.  A kept distance tile goes through
-    exactly these operations, so it ends with the bits of a tile formed anew.
+    outside its strict upper triangle, in bands of 64 rows: one slice store
+    left of each band's diagonal block and a masked copy on that block
+    alone, faster than one mask over the whole tile.  A kept distance tile
+    goes through exactly these operations, so it ends with the bits of a
+    tile formed anew.
     """
     if v.sigma is not None:
         np.maximum(blk, 0.0, out=blk)
         blk *= -0.5 / (v.sigma * v.sigma)
         np.exp(blk, out=blk)
     tile = blk[:h, :w]
-    if diagonal:
-        np.copyto(tile, fill, where=_triangles(h))
+    for b0 in range(0, h, 64) if diagonal else ():
+        band = tile[b0 : b0 + 64]
+        band[:, :b0] = fill
+        np.copyto(band[:, b0 : b0 + 64], fill, where=_triangles(band.shape[0]))
     return tile
 
 
@@ -350,20 +355,21 @@ def _block_index(m: int, size: int, seed: int) -> np.ndarray:
 def _sample_bracket(v: TileRows, k1: int, k2: int, attempt: int = 0) -> tuple[float, float]:
     """Values [lo, hi] that bracket pool ranks k1 <= k2 with high probability.
 
-    Takes 4^attempt n^(2/3) pairs of the n-pair pool, drawn with the seed
-    ``attempt``, and reads the sample's order statistics at the scaled
-    ranks, widened by about five standard deviations of a sample rank; a
-    bracket edge beyond the sample is infinite.  With a kept block the
-    sample reads the pool values there; without, it forms them from ``v.x``
-    in chunks of one tile's bytes by the pool's expansion (not by exact
-    differences, which near-duplicate rows far from the origin would put
-    outside the pool's rounding noise), clamped at zero as the pool is
-    where it is read.  The bracket only bounds the pass, so its last bits
-    do not matter.
+    Takes 4^attempt n^(2/3) pairs of the n-pair pool, four times as many
+    with a kept block, drawn with the seed ``attempt``, and reads the
+    sample's order statistics at the scaled ranks, widened by about five
+    standard deviations of a sample rank; a bracket edge beyond the sample
+    is infinite.  A kept block's pair is one read, so there a larger sample
+    that narrows the bracket costs less than the selection pass it saves.
+    Without a block the sample forms its pairs from ``v.x`` in chunks of
+    one tile's bytes by the pool's expansion (not by exact differences,
+    which near-duplicate rows far from the origin would put outside the
+    pool's rounding noise), clamped at zero as the pool is where it is
+    read.  The bracket only bounds the pass, so its last bits do not matter.
     """
     m = v.m
     n = m * (m - 1) // 2
-    size = int(n ** (2.0 / 3.0)) * 4**attempt
+    size = int(n ** (2.0 / 3.0)) * 4 ** (attempt + (v.block is not None))
     if v.block is not None:
         sample = v.block[_block_index(m, size, attempt)]
     else:

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -74,21 +75,22 @@ def _pair(item: str) -> tuple[int, int]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """start:step:stop inclusive grid, or a comma-separated list."""
+    """start:step:stop inclusive grid, its points exact in decimal, or a comma-separated list."""
     if ":" not in text:
         return _parse_list(text, "grid")
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"grid {text!r} must be start:step:stop")
     try:
-        start, step, stop = (float(p) for p in parts)
-    except ValueError:
+        start, step, stop = (Decimal(p) for p in parts)
+        if not all(p.is_finite() and np.isfinite(float(p)) for p in (start, step, stop)):
+            raise CliError(f"grid {text!r} must have finite parts")
+        if step <= 0 or stop < start:
+            raise CliError(f"grid {text!r} must have step > 0 and stop >= start")
+        count = int((stop - start) // step) + 1  # exact, or too many points to hold
+    except InvalidOperation:
         raise CliError(f"cannot parse grid {text!r}")
-    if step <= 0 or stop < start:
-        raise CliError(f"grid {text!r} must have step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
-    grid = [start + i * step for i in range(count)]
-    return [g for g in grid if g <= stop + 1e-12]
+    return [float(start + i * step) for i in range(count)]
 
 
 def _spec(args, var: str) -> KernelSpec:

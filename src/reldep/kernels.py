@@ -70,14 +70,16 @@ def _median_rows(s: Sample, store: np.ndarray | None = None) -> tuple[_backend.T
     squares; in an odd pool both are the middle one, and the average is
     its root to the bit.  Zero distances from duplicate rows stay in the
     pool, but a zero median means the scale is degenerate and is an error.
-    A sample whose rows are all the same is refused from its column
-    ranges, before any O(m) work.
+    A sample whose rows are all the same is refused before any O(m)
+    allocation: its first and last rows are equal, and then so are its
+    column minima and maxima.  Other samples skip the column reductions.
     """
     if s.m < 2:
         raise PreconditionError("median heuristic needs at least 2 observations")
-    if np.array_equal(s.data.min(axis=0), s.data.max(axis=0)):
+    data = s.data
+    if np.array_equal(data[0], data[-1]) and np.array_equal(data.min(axis=0), data.max(axis=0)):
         raise PreconditionError("degenerate sample: zero median distance")
-    rows = _backend.distance_rows(s.data, store)
+    rows = _backend.distance_rows(data, store)
     n_pairs = s.m * (s.m - 1) // 2
     lo, hi = _backend.sq_distance_order_stats(rows, (n_pairs - 1) // 2, n_pairs // 2)
     sigma = float(0.5 * (np.sqrt(lo) + np.sqrt(hi)))

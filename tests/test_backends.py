@@ -149,6 +149,20 @@ class TestBlockedDistances:
         assert b.kernel_info == a.kernel_info
 
 
+# Every diagonal tile height, for both fills, on a block view whose rows are
+# longer than the tile: the bands set what one mask over the tile sets.
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_banded_diagonal_fill_equals_one_mask(rng, fill):
+    linear = _backend.linear_rows(np.zeros((1, 1)))  # no sigma: _mapped only fills
+    for h in range(1, TILE + 1):
+        block = rng.standard_normal((TILE + 8, TILE + 8))
+        want = block.copy()
+        np.copyto(want[:h, :h], fill, where=np.tri(h, h, 0, dtype=bool))
+        tile = _backend._mapped(linear, block[: h + -h % 8, : h + 8], h, h, True, fill)
+        assert tile.shape == (h, h) and np.shares_memory(tile, block)
+        assert np.array_equal(block, want, equal_nan=True)
+
+
 class TestExactSelection:
     """The streamed selection must equal the sorted packed pool exactly."""
 
@@ -638,6 +652,48 @@ class TestKeptDistanceTiles:
         rows = kept_rows(x)
         assert _backend.sq_distance_order_stats(rows, k1, k2) == (pool[k1], pool[k2])
         assert kept_at_select == [True, True, True]
+
+    def drawn_sizes(self, monkeypatch):
+        """Sizes of the bracket samples drawn, per cached sampler, with both caches cleared."""
+        drawn = {"_block_index": [], "_sample_pairs": []}
+        for name, sizes in drawn.items():
+            cached = getattr(_backend, name)
+            cached.cache_clear()
+
+            def spy(m, size, seed, cached=cached, sizes=sizes):
+                sizes.append(size)
+                return cached(m, size, seed)
+
+            monkeypatch.setattr(_backend, name, spy)
+        return drawn
+
+    # n^(2/3) pairs for streamed rows, four times as many for rows with a
+    # kept block.  At m = 800 the third block no longer fits the store, so
+    # z streams; the first block index draws its pairs once for x and y.
+    @pytest.mark.parametrize("m, kept", [(500, 3), (800, 2)])
+    def test_kept_blocks_draw_four_times_the_sample(self, rng, monkeypatch, m, kept):
+        base = int((m * (m - 1) // 2) ** (2.0 / 3.0))
+        drawn = self.drawn_sizes(monkeypatch)
+        dependent_test(curve_sample(rng, m))
+        assert drawn["_block_index"] == [4 * base] * kept
+        assert drawn["_sample_pairs"] == [4 * base] + [base] * (3 - kept)
+
+    def test_forced_miss_on_a_kept_block_draws_sixteen_times_the_sample(self, rng, monkeypatch):
+        m = 500
+        x = rng.standard_normal((m, 2))
+        pool = sorted_pool(_backend.pairwise_sq_dists(x))
+        k1, k2 = pool.size // 2 - 1, pool.size // 2
+        select, calls = _backend._select_in_bracket, []
+
+        def miss_once(*args):
+            calls.append(args)
+            return None if len(calls) == 1 else select(*args)
+
+        monkeypatch.setattr(_backend, "_select_in_bracket", miss_once)
+        drawn = self.drawn_sizes(monkeypatch)
+        assert _backend.sq_distance_order_stats(kept_rows(x), k1, k2) == (pool[k1], pool[k2])
+        base = int(pool.size ** (2.0 / 3.0))
+        assert drawn["_block_index"] == drawn["_sample_pairs"] == [4 * base, 16 * base]
 
     def test_bracket_sample_reads_pool_values(self, rng):
         x = rng.standard_normal((300, 2))

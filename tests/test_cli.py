@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reldep.cli import _csv_text, main
+from reldep.cli import _csv_text, _parse_grid, main
 from reldep.dataset import Sample, save_csv
 from reldep.synthbench import ConvergencePoint, SynthConfig, sample_synthetic
 
@@ -305,6 +305,22 @@ class TestExperimentCommands:
         assert len(csv_lines) == 15  # header + 14 grid points
         assert csv_lines[0] == "gamma3,power_dependent,power_independent,trials,alpha,m"
         assert json.loads((tmp_path / "power_64_5.json").read_text()) == summary
+
+    def test_colon_grid_points_are_decimal(self):
+        # Not start + i * step in binary floats, which gives 0.6000000000000001.
+        assert _parse_grid("0.4:0.1:1.7") == [
+            0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7
+        ]
+        assert _parse_grid("0.4:0.4:1.2") == [0.4, 0.8, 1.2]
+        assert _parse_grid("0:0.3:1") == [0.0, 0.3, 0.6, 0.9]
+
+    @pytest.mark.parametrize("grid", ["inf:0.1:1", "0:nan:1", "0:0.1:1e400", "0:0.1:inf"])
+    def test_power_non_finite_grid_exit_2(self, tmp_path, capsys, grid):
+        code = main(
+            ["power", "--gamma3", grid, "--m", "64", "--trials", "2", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_power_empty_grid_exit_2(self, tmp_path, capsys):
         code = main(

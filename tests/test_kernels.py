@@ -69,6 +69,11 @@ class TestMedianHeuristic:
         with pytest.raises(PreconditionError, match="zero median distance"):
             median_heuristic(s)
 
+    def test_equal_first_and_last_rows_are_not_degenerate(self):
+        # Squared distances {0, 1, 1, 4, 9, 9}: the central pair's roots are 1 and 2.
+        s = Sample(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]]), "s")
+        assert median_heuristic(s) == 1.5
+
     def test_duplicates_in_pool_but_positive_median(self):
         # distances {0,0,0,1,1,1} -> median 0.5
         s = Sample(np.array([0.0, 0.0, 0.0, 1.0]), "s")

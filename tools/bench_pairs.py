@@ -7,7 +7,9 @@
 For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
 each tree, alternating which tree goes first.  Each end-to-end metric is
 summarised per tree as median and quartiles, with the number of pairs the
-change won (ties count for neither).  So is the raw, unbounded
+change won (ties count for neither) and two verdicts, ``claim_met`` and
+``within_bound`` (``summarise``), against the change tree's
+``BENCHMARK.json``, which the script only reads.  So is the raw, unbounded
 ``trials_per_s`` of each run's ``.bench_out`` record, under
 ``trials_per_s``: it follows the host's speed, but it is the Monte-Carlo
 throughput itself.  So are the medians of each run's own op times, under
@@ -67,6 +69,29 @@ def quartiles(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def summarise(base, change, spec=None):
+    """One end-to-end metric's runs per tree: quartiles, pairs won and verdicts.
+
+    ``spec`` is the metric's entry in BENCHMARK.json; without one, lower is
+    better and no verdict is given.  ``claim_met``: the change won at least
+    9 of every 10 pairs and its median is better than the parent's by more
+    than the parent's quartile spread (q3 - q1).  ``within_bound``: its
+    median is worse than the parent's by at most ``spec["bound"]`` times
+    the parent's median.
+    """
+    lower = spec is None or spec["better"] == "lower"
+    out = {"base": quartiles(base), "change": quartiles(change),
+           "change_wins": sum(c < b if lower else c > b for b, c in zip(base, change)),
+           "pairs": len(base)}
+    if spec is not None:
+        gain = out["base"]["median"] - out["change"]["median"]
+        gain = gain if lower else -gain
+        spread = out["base"]["q3"] - out["base"]["q1"]
+        out["claim_met"] = 10 * out["change_wins"] >= 9 * out["pairs"] and gain > spread
+        out["within_bound"] = -gain <= spec["bound"] * abs(out["base"]["median"])
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="source tree of the parent commit")
@@ -77,6 +102,8 @@ def main(argv=None):
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     trees = {"base": args.base, "change": args.change}
+    specs = json.loads((Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    specs = {spec["name"]: spec for spec in specs["end_to_end"]}
     out = {"env": None, "seeds": args.seeds, "trace_seeds": args.trace_seeds,
            "end_to_end": {}, **{k: {} for k in RAW}, "layers": {}}
     for workload in args.workloads:
@@ -89,17 +116,11 @@ def main(argv=None):
                 if side == "change" and out["env"] is None:
                     out["env"] = env
                 print(workload, seed, side, metrics, file=sys.stderr, flush=True)
-        summary = {}
-        for name in runs["base"][0]:
-            base = [r[name] for r in runs["base"]]
-            change = [r[name] for r in runs["change"]]
-            summary[name] = {
-                "base": quartiles(base),
-                "change": quartiles(change),
-                "change_wins": sum(c < b for b, c in zip(base, change)),
-                "pairs": len(base),
-            }
-        out["end_to_end"][workload] = summary
+        out["end_to_end"][workload] = {
+            name: summarise([r[name] for r in runs["base"]], [r[name] for r in runs["change"]],
+                            specs.get(name))
+            for name in runs["base"][0]
+        }
         for k in RAW:
             out[k][workload] = {side: quartiles([r[k] for r in rs]) for side, rs in raws.items()}
         traced = {"base": [], "change": []}
