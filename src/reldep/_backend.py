@@ -176,55 +176,62 @@ def _triangles(h: int) -> np.ndarray:
     return rest
 
 
-def _kernel_tile(v: TileRows, i0, i1, j0, j1, out, work, fill=0.0) -> np.ndarray:
+def _kernel_tile(v: TileRows, i0, i1, j0, j1, out, work) -> np.ndarray:
     """Values of v for the row pairs (i0:i1) x (j0:j1), written into the flat ``out``.
 
     Each BLAS call takes the rows from i0 and j0 zero-padded to a multiple
     of 8, so it covers whole register tiles and a pair's bits do not
-    depend on its tile.  A distance tile is (||a||^2 + ||b||^2) - 2<a, b>,
-    unclamped, with 2<a, b> from ``v.twice`` in ``work`` (as large as
-    ``out``).  The norm sums come from a GEMM on the rows (||a||^2, 1) and
-    (1, ||b||^2), whose exact products make each sum one correctly rounded
-    addition, faster than a broadcast add.
-
-    A diagonal tile (i0 == j0) keeps only its strict upper triangle and is
-    ``fill`` (zero) elsewhere, so every unordered pair i < j is in exactly
-    one tile once: a tile's row sums go to rows I and its column sums to
-    rows J, the diagonal ones included, and the Gram they describe is
-    exactly symmetric whatever the BLAS does.
+    depend on its tile.  The inner products are GEMMs over ``TILE``
+    feature columns at a time, added in column order (Demmel & Nguyen 2013,
+    "Fast reproducible floating-point summation"), so their bits do not
+    depend on how the BLAS splits a wider product across threads.  A
+    distance tile is (||a||^2 + ||b||^2) - 2<a, b>, unclamped, with 2<a, b>
+    from ``v.twice`` in ``work`` (as large as ``out``).  The norm sums come
+    from a GEMM on the rows (||a||^2, 1) and (1, ||b||^2), whose exact
+    products make each sum one correctly rounded addition, faster than a
+    broadcast add.  ``_mapped`` finishes the tile.
     """
     h, w = i1 - i0, j1 - j0
     rows_i, rows_j = slice(i0, i0 + h + -h % 8), slice(j0, j0 + w + -w % 8)
     a, b = (v.x if v.twice is None else v.twice)[rows_i], v.x[rows_j]
     if i0 == j0 and v.twice is None:
         b = b.copy()  # a @ a.T would take NumPy's slower SYRK path
-    blk = out[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-    if v.norms is None:
-        np.matmul(a, b.T, out=blk)
-    else:
-        inner = np.matmul(a, b.T, out=work[: blk.size].reshape(blk.shape))
+    size, shape = a.shape[0] * b.shape[0], (a.shape[0], b.shape[0])
+    blk, spare = out[:size].reshape(shape), work[:size].reshape(shape)
+    inner, spare = (blk, spare) if v.norms is None else (spare, blk)
+    for c in range(0, a.shape[1], TILE):
+        part = np.matmul(a[:, c : c + TILE], b[:, c : c + TILE].T, out=spare if c else inner)
+        if c:
+            inner += part
+    if v.norms is not None:
         np.matmul(v.norms[rows_i], v.norms[rows_j, ::-1].T, out=blk)
         if v.twice is None:
             inner *= 2.0
         np.subtract(blk, inner, out=blk)
-    return _mapped(v, blk, h, w, i0 == j0, fill)
+    return _mapped(v, blk, h, w, i0 == j0)
 
 
-def _mapped(v: TileRows, blk: np.ndarray, h: int, w: int, diagonal: bool, fill=0.0) -> np.ndarray:
+def _mapped(v: TileRows, blk: np.ndarray, h: int, w: int, diagonal: bool) -> np.ndarray:
     """The h x w tile of the padded ``blk`` of v's distances or inner products, mapped in place.
 
     Gaussian rows map the whole padded block through
-    exp(-max(d2, 0) / (2 sigma^2)); a diagonal tile is then set to ``fill``
-    outside its strict upper triangle, in bands of 64 rows: one slice store
-    left of each band's diagonal block and a masked copy on that block
-    alone, faster than one mask over the whole tile.  A kept distance tile
-    goes through exactly these operations, so it ends with the bits of a
-    tile formed anew.
+    exp(-max(d2, 0) / (2 sigma^2)).  Where no pair i < j is, a raw distance
+    tile (distance rows without ``sigma``: the median pool) then holds NaN,
+    which no comparison counts, padding rows and columns included; any
+    other tile holds 0, so its sums count each unordered pair once.  A
+    diagonal tile is set so in bands of 64 rows: one slice store left of
+    each band's diagonal block and a masked copy on that block alone,
+    faster than one mask over the whole tile.  A kept distance tile goes
+    through exactly these operations, so it ends with the bits of a tile
+    formed anew.
     """
+    fill = 0.0
     if v.sigma is not None:
         np.maximum(blk, 0.0, out=blk)
         blk *= -0.5 / (v.sigma * v.sigma)
         np.exp(blk, out=blk)
+    elif v.norms is not None:
+        fill = blk[h:] = blk[:, w:] = np.nan
     tile = blk[:h, :w]
     for b0 in range(0, h, 64) if diagonal else ():
         band = tile[b0 : b0 + 64]
@@ -271,7 +278,7 @@ def fill_square(v: TileRows, out: np.ndarray) -> np.ndarray:
         for i0, i1, j0, j1 in _tiles(v.m):
             tile = _kernel_tile(v, i0, i1, j0, j1, out_tile, work)
             if v.norms is not None and v.sigma is None:
-                np.maximum(tile, 0.0, out=tile)
+                np.fmax(tile, 0.0, out=tile)  # 0 where the raw tile holds NaN
             if i0 == j0:
                 np.add(tile, tile.T, out=out[i0:i1, i0:i1])  # x + 0 is x, to the bit
             else:
@@ -303,15 +310,12 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
     is drawn again from a sample four times larger, under another seed;
     only a second miss reruns the pass unbounded.  The result is exact
     either way.  Rows with a ``block`` have their tiles formed once, into
-    it, for every pass, with NaN (which no comparison counts, and which the
-    kernel map zeroes where its tiles show it) where no pair i < j is;
-    other rows form them pass by pass.
+    it, for every pass; other rows form them pass by pass.
     """
     if v.block is not None:
         work = np.empty(TILE * TILE)
         for (i0, i1, j0, j1), blk in zip(_tiles(v.m), _kept_tiles(v.m, v.block)):
-            _kernel_tile(v, i0, i1, j0, j1, blk.reshape(-1), work, fill=np.nan)
-            blk[i1 - i0 :] = blk[:, j1 - j0 :] = np.nan
+            _kernel_tile(v, i0, i1, j0, j1, blk.reshape(-1), work)
     for attempt in range(2):
         found = _select_in_bracket(v, k1, k2, *_sample_bracket(v, k1, k2, attempt))
         if found is not None:
@@ -320,13 +324,13 @@ def sq_distance_order_stats(v: TileRows, k1: int, k2: int):
 
 
 def _pool_parts(v: TileRows):
-    """Arrays of v's pool, NaN outside it: the kept block, else each tile in the block's form."""
+    """Arrays of v's raw distance tiles (``_mapped``): the kept block, else each tile."""
     if v.block is not None:
         yield v.block
         return
     out, work = np.empty(TILE * TILE), np.empty(TILE * TILE)
     for i0, i1, j0, j1 in _tiles(v.m):
-        yield _kernel_tile(v, i0, i1, j0, j1, out, work, fill=np.nan)
+        yield _kernel_tile(v, i0, i1, j0, j1, out, work)
 
 
 @lru_cache(maxsize=4)
@@ -407,13 +411,13 @@ def _select(a: np.ndarray, ranks) -> None:
 def _select_in_bracket(v: TileRows, k1: int, k2: int, lo: float, hi: float):
     """Pool order statistics k1 <= k2 if [lo, hi] (lo <= hi) holds both, else None.
 
-    One pass over the pool (``_pool_parts``, whose NaN no comparison
-    counts) counts the values below lo, those equal to lo and those equal
-    to hi, and collects only the values strictly between.  A rank that
-    lands on an edge is answered from the counts, so ties at lo or hi cost
-    no memory.  ``np.compress`` gathers the in-bracket values, on which
-    alone the equality tests run.  The results are clamped at zero, so a
-    rank below an edge lo <= 0 is 0, not a miss.
+    One pass over the pool (``_pool_parts``) counts the values below lo,
+    those equal to lo and those equal to hi, and collects only the values
+    strictly between.  A rank that lands on an edge is answered from the
+    counts, so ties at lo or hi cost no memory.  ``np.compress`` gathers
+    the in-bracket values, on which alone the equality tests run.  The
+    results are clamped at zero, so a rank below an edge lo <= 0 is 0, not
+    a miss.
     """
     below = at_lo = at_edges = 0
     inside = []

@@ -64,8 +64,8 @@ class SynthConfig:
         if self.m < 8:
             raise ValueError(f"synthetic config needs m >= 8, got {self.m}")
         for name in ("gamma1", "gamma2", "gamma3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, not {getattr(self, name)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -155,13 +155,14 @@ def power_curve(
     """Empirical rejection rate of both tests across a gamma3 grid."""
     if len(gamma3_grid) == 0:
         raise ValueError("gamma3 grid must be non-empty")
+    points = [replace(base, gamma3=float(g3)) for g3 in gamma3_grid]  # all checked before a trial
     rows = []
-    for gi, g3 in enumerate(gamma3_grid):
-        cfgs = [trial_config(replace(base, gamma3=float(g3)), gi, t) for t in range(trials)]
+    for gi, point in enumerate(points):
+        cfgs = [trial_config(point, gi, t) for t in range(trials)]
         results = _run_trials(partial(_both_tests_trial, alpha=alpha), cfgs, jobs)
         rows.append(
             PowerPoint(
-                gamma3=float(g3),
+                gamma3=point.gamma3,
                 power_dependent=sum(rd.reject_null for rd, _ in results) / trials,
                 power_independent=sum(ri.reject_null for _, ri in results) / trials,
                 trials=trials,

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import reldep
 from reldep.dataset import Sample
 from reldep.kernels import KernelSpec
 
@@ -10,6 +16,23 @@ from oracles import gaussian_gram
 BANDWIDTHS = (1.3, 0.8)
 PAIR_SPECS = tuple(KernelSpec(bandwidth=b) for b in BANDWIDTHS)
 LINEAR = KernelSpec(family="linear")
+
+
+def blas_thread_outputs(snippet):
+    """Stdout of the Python ``snippet`` run in a child process with 1 and with 2 OpenBLAS threads.
+
+    The BLAS reads its thread count once, when NumPy loads it, so each
+    count needs its own process.
+    """
+    src = str(Path(reldep.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", snippet], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    return outs
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import unfolded_tile
+from conftest import blas_thread_outputs, unfolded_tile
 
 import reldep
 from reldep import _backend
@@ -151,14 +151,18 @@ class TestBlockedDistances:
 
 # Every diagonal tile height, for both fills, on a block view whose rows are
 # longer than the tile: the bands set what one mask over the tile sets.
+# Linear rows fill with 0; raw distance rows with NaN, their padding too.
 @pytest.mark.parametrize("fill", [0.0, np.nan])
 def test_banded_diagonal_fill_equals_one_mask(rng, fill):
-    linear = _backend.linear_rows(np.zeros((1, 1)))  # no sigma: _mapped only fills
+    kind = _backend.linear_rows if fill == 0.0 else _backend.distance_rows
+    rows = kind(np.zeros((1, 1)))  # no sigma: _mapped only fills
     for h in range(1, TILE + 1):
         block = rng.standard_normal((TILE + 8, TILE + 8))
         want = block.copy()
         np.copyto(want[:h, :h], fill, where=np.tri(h, h, 0, dtype=bool))
-        tile = _backend._mapped(linear, block[: h + -h % 8, : h + 8], h, h, True, fill)
+        if fill != 0.0:
+            want[h : h + -h % 8, : h + 8] = want[: h + -h % 8, h : h + 8] = fill
+        tile = _backend._mapped(rows, block[: h + -h % 8, : h + 8], h, h, True)
         assert tile.shape == (h, h) and np.shares_memory(tile, block)
         assert np.array_equal(block, want, equal_nan=True)
 
@@ -753,12 +757,12 @@ def test_repeated_dependent_tests_take_few_page_faults():
     assert float(run.stdout) < 100
 
 
-def parent_tile(v, i0, i1, j0, j1, out, work, fill=0.0):
+def parent_tile(v, i0, i1, j0, j1, out, work):
     """``_kernel_tile`` of distance rows as it was: max(unfolded, 0) in the tile, then the map."""
     blk = np.maximum(unfolded_tile(v, i0, i1, j0, j1), 0.0)
     held = out[: blk.size].reshape(blk.shape)
     held[...] = blk
-    return _backend._mapped(v, held, i1 - i0, j1 - j0, i0 == j0, fill)
+    return _backend._mapped(v, held, i1 - i0, j1 - j0, i0 == j0)
 
 
 def near_duplicates(n):
@@ -897,3 +901,35 @@ class TestWideInputMemory:
     def test_dependent_test_peak_at_m1000(self, rng):
         j = align(*(Sample(rng.standard_normal((1000, 400))) for _ in range(3)))
         assert traced_peak(lambda: dependent_test(j)) <= 35e6
+
+
+# A dependent test of 400-column rows: a distance tile's inner products
+# span two feature chunks, where one GEMM's bits follow the thread count.
+_WIDE_PROBE = """
+import numpy as np
+from reldep import Sample, align, dependent_test
+rng = np.random.default_rng(11)
+x = rng.standard_normal((300, 400))
+y, z = (x + s * rng.standard_normal((300, 400)) for s in (0.8, 1.2))
+res = dependent_test(align(Sample(x), Sample(y), Sample(z)))
+print(*(float(v).hex() for v in (res.p_value, res.statistic, res.std_dev)),
+      *(info["bandwidth"].hex() for info in res.kernel_info.values()))
+"""
+
+# One source and 32 targets: the hub's last pass multiplies each tile by
+# the 32 targets' row sums at once.
+_HUB_PROBE = """
+import numpy as np
+from reldep import Sample, joint_summary
+rng = np.random.default_rng(12)
+x = rng.standard_normal((500, 2))
+targets = [x + s * rng.standard_normal((500, 2)) for s in np.linspace(0.5, 2.0, 32)]
+summary = joint_summary([Sample(a) for a in [x, *targets]], [(0, k) for k in range(1, 33)])
+print(*(v.hex() for v in summary.means), *(v.hex() for v in summary.covariance.ravel()))
+"""
+
+
+@pytest.mark.parametrize("probe", [_WIDE_PROBE, _HUB_PROBE], ids=["d400", "hub32"])
+def test_results_do_not_depend_on_the_blas_thread_count(probe):
+    one, two = blas_thread_outputs(probe)
+    assert one == two

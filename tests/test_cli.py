@@ -322,6 +322,17 @@ class TestExperimentCommands:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    # A non-finite noise scale is refused by name before any trial runs.
+    @pytest.mark.parametrize("argv, field", [
+        (["power", "--gamma3", "0.5,nan", "--m", "20"], "gamma3"),
+        (["converge", "--m-grid", "20,40,80", "--gamma1", "inf"], "gamma1"),
+        (["calibrate", "--gamma2", "nan", "--m", "20"], "gamma2"),
+    ])
+    def test_non_finite_gamma_exit_2(self, tmp_path, capsys, argv, field):
+        assert main([*argv, "--trials", "1", "--out", str(tmp_path)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_power_empty_grid_exit_2(self, tmp_path, capsys):
         code = main(
             ["power", "--gamma3", "", "--m", "64", "--trials", "2", "--out", str(tmp_path)]

@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import reldep
 from reldep import _backend
 from reldep.dataset import DatasetError, PreconditionError, Sample
 from reldep.hsic import (
@@ -25,7 +20,14 @@ from reldep.hsic import (
 )
 from reldep.kernels import KernelSpec, kernel_info, kernel_rows, median_heuristic
 
-from conftest import LINEAR, PAIR_SPECS, constant_sample, oracle_grams, random_pair
+from conftest import (
+    LINEAR,
+    PAIR_SPECS,
+    blas_thread_outputs,
+    constant_sample,
+    oracle_grams,
+    random_pair,
+)
 from oracles import constant_gram, h_vector_bruteforce, hsic_bruteforce, kernel_h
 
 
@@ -311,16 +313,8 @@ print(e.value.hex(), *(c.hex() for c in covariance_summary([e, f]).ravel()))
 
 
 def test_long_dots_do_not_depend_on_the_blas_thread_count():
-    src = str(Path(reldep.__file__).resolve().parent.parent)
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True
-        )
-        assert run.returncode == 0, run.stderr
-        outs.append(run.stdout)
-    assert outs[0] == outs[1]
+    one, two = blas_thread_outputs(_THREAD_PROBE)
+    assert one == two
 
 
 def test_long_dot_whose_chunks_overflow_is_refused_as_overflow():

@@ -26,6 +26,12 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="seed"):
             SynthConfig(m=10, seed=-1)
 
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "gamma3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gamma_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SynthConfig(m=10, **{field: value})
+
 
 class TestSampleSynthetic:
     def test_zero_noise_lies_on_curves(self):
@@ -80,6 +86,13 @@ class TestPowerCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             power_curve([], SynthConfig(m=64, seed=7), trials=5)
+
+    def test_bad_point_refused_before_any_trial(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(synthbench, "sample_synthetic", drawn.append)
+        with pytest.raises(ValueError, match="gamma3 must be finite"):
+            power_curve([0.5, np.nan], SynthConfig(m=64, seed=7), trials=2)
+        assert drawn == []
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):

@@ -54,3 +54,29 @@ class TestBenchPairVerdicts:
     def test_no_spec_gives_no_verdict(self):
         out = bench_pairs.summarise(PARENT, PARENT)
         assert out["change_wins"] == 0 and "claim_met" not in out
+
+
+SELECT = "backend.sq_distance_order_stats.self_ms"
+
+
+def trace_records(values):
+    """Trace records, one per value, with ``SELECT`` at that value and every other layer at 0."""
+    return [{k: v if k == SELECT else 0.0 for k in bench_pairs.LAYERS} for v in values]
+
+
+class TestLayerDifferences:
+    def test_pairs_moved_down_with_overlapping_medians(self):
+        # Per-tree medians 45.0 and 44.0 sit inside each other's spread, but
+        # every pair fell by 0.5 to 1.5 ms.
+        out = bench_pairs.layer_differences(trace_records([45.0, 48.0, 41.0]),
+                                            trace_records([44.0, 46.5, 40.5]))[SELECT]
+        assert out["per_seed"] == [-1.0, -1.5, -0.5]
+        assert out["median"] == -1.0 and out["down"] == 3 and out["pairs"] == 3
+
+    def test_ties_and_rises_are_not_counted_down(self):
+        out = bench_pairs.layer_differences(trace_records([10.0] * 4),
+                                            trace_records([10.0, 12.0, 9.0, 11.0]))
+        assert out[SELECT]["down"] == 1 and out[SELECT]["median"] == 0.5
+        assert set(out) == set(bench_pairs.LAYERS)
+        assert out["trace.traced_ms_per_op"] == {"median": 0.0, "down": 0, "pairs": 4,
+                                                 "per_seed": [0.0] * 4}

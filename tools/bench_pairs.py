@@ -17,9 +17,12 @@ throughput itself.  So are the medians of each run's own op times, under
 ``ref_ms``: a move of a ``latency_vs_ref`` ratio splits into reldep's time
 and the reference's.  ``--trace 1`` runs on the trace seeds give per-layer
 medians of the backend kernels; they alternate the trees per seed too, so
-host drift does not read as a layer change.  The environment stamp is the
-change's first run's.  A run that fails its reference check or exits
-nonzero stops the script.
+host drift does not read as a layer change.  Each traced pair's layer
+difference is kept as well, under ``change_minus_base``
+(``layer_differences``): a small saving that the per-tree medians cannot
+place shows as pairs that fell.  The environment stamp is the change's
+first run's.  A run that fails its reference check or exits nonzero stops
+the script.
 """
 
 import argparse
@@ -92,6 +95,20 @@ def summarise(base, change, spec=None):
     return out
 
 
+def layer_differences(base, change):
+    """Per layer metric, change - parent of each traced pair, their median and the pairs that fell.
+
+    ``base`` and ``change`` are the two trees' trace records, one per trace
+    seed in the same order.
+    """
+    out = {}
+    for k in LAYERS:
+        diffs = [c[k] - b[k] for b, c in zip(base, change)]
+        out[k] = {"median": statistics.median(diffs), "down": sum(d < 0 for d in diffs),
+                  "pairs": len(diffs), "per_seed": diffs}
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="source tree of the parent commit")
@@ -127,10 +144,12 @@ def main(argv=None):
         for i, seed in enumerate(args.trace_seeds):
             for side in paired_order(i):
                 traced[side].append(run(trees[side], workload, seed, 1)[0])
-        out["layers"][workload] = {
+        layers = out["layers"][workload] = {
             side: {k: statistics.median(t[k] for t in records) for k in LAYERS}
             for side, records in traced.items() if records
         }
+        if args.trace_seeds:
+            layers["change_minus_base"] = layer_differences(traced["base"], traced["change"])
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
 

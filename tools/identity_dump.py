@@ -16,10 +16,10 @@ with the default kernels and with linear-x/bandwidth-y.  Two cases with a user
 bandwidth on x follow: near-duplicate rows far from the origin, whose raw
 squared distances go below zero, and rows scaled by 2^-520, whose
 products fall below the normal range.  Then come the tests of 3 seeds
-at m in {300, 700} with d = 256 columns: at m = 300 the median pass keeps
-its distance tiles, at m = 700 it streams them and draws its bracket
-sample in chunks, and at d <= 256 each tile is one GEMM, whose bits do
-not depend on the BLAS thread count.  Then it prints the stdout
+at m in {300, 700} with d = 256 and d = 400 columns: at m = 300 the
+median pass keeps its distance tiles, at m = 700 it streams them and
+draws its bracket sample in chunks, and at d = 400 each tile's inner
+products are two GEMMs over fixed feature chunks.  Then it prints the stdout
 and output files of ``reldep test`` (the README's four forms and
 ``--format csv``, and kernel flags on the ``--pairs`` route with four and
 with two files), ``hsic``, ``power``, ``calibrate``, ``scatter`` and
@@ -56,7 +56,7 @@ PAIR_SETS = (
     ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0)),
 )
 WEIGHTS = {2: (1.0, -1.0), 3: (1.0, 1.0, -2.0), 5: (0.5, -1.5, 2.0, 1.0, -0.25)}
-WIDE_D, WIDE_SIZES, WIDE_SEEDS = 256, (300, 700), range(3)
+WIDE_DS, WIDE_SIZES, WIDE_SEEDS = (256, 400), (300, 700), range(3)
 
 
 def _hex(values):
@@ -127,17 +127,18 @@ def dump_edge_cases(reldep, out):
 
 
 def dump_wide(reldep, out):
-    """The tests of synthetic samples widened by WIDE_D - 2 seeded noise columns."""
+    """The tests of synthetic samples widened to each of WIDE_DS by seeded noise columns."""
     from reldep.kernels import KernelConfig
     from reldep.synthbench import SynthConfig, sample_synthetic
 
-    for m in WIDE_SIZES:
-        for seed in WIDE_SEEDS:
-            j = sample_synthetic(SynthConfig(m=m, gamma3=0.9, seed=seed))
-            noise = np.random.default_rng(seed).standard_normal((3, m, WIDE_D - 2))
-            wide = reldep.align(*(reldep.Sample(np.hstack([s.data, 0.1 * n]), s.label)
-                                  for s, n in zip(j.samples, noise)))
-            dump_tests(reldep, f"wide-m{m}-d{WIDE_D}-s{seed}", wide, KernelConfig(), out)
+    for d in WIDE_DS:
+        for m in WIDE_SIZES:
+            for seed in WIDE_SEEDS:
+                j = sample_synthetic(SynthConfig(m=m, gamma3=0.9, seed=seed))
+                noise = np.random.default_rng(seed).standard_normal((3, m, d - 2))
+                wide = reldep.align(*(reldep.Sample(np.hstack([s.data, 0.1 * n]), s.label)
+                                      for s, n in zip(j.samples, noise)))
+                dump_tests(reldep, f"wide-m{m}-d{d}-s{seed}", wide, KernelConfig(), out)
 
 
 INPUTS = ("x.csv", "y.csv", "z.csv", "t3.csv")
